@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt lint test race resilience conformance bench-smoke bench fuzz docs-check
+.PHONY: check build vet fmt lint test race resilience conformance bench-smoke bench-record bench-test bench fuzz docs-check
 
-check: build vet fmt lint race resilience conformance bench-smoke docs-check
+check: build vet fmt lint race resilience conformance bench-smoke bench-test docs-check
 
 build:
 	$(GO) build ./...
@@ -49,14 +49,15 @@ race:
 # chaos scrape), and the raw-speed-path gates (pipelined sessions
 # through reorder-heavy fault grids staying exact, the pipelined frame
 # bill matching stop-and-wait, and worker-pool packet-buffer
-# isolation), and the observability gates (the histogram
+# isolation, and a datagram delivered late past the dedup window
+# staying exact), and the observability gates (the histogram
 # scraper-vs-writers race consistency check, the Prometheus histogram
 # exposition format, the bounded flight ring, and the
 # zero-added-frames latency gate replaying E31's exact bill on every
 # transport). Keep this regex in lockstep with
 # .github/workflows/ci.yml.
 resilience:
-	$(GO) test -race -run 'TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged' ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance
+	$(GO) test -race -run 'TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged' ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance
 
 # The transport conformance suite pinned BY NAME, run under the race
 # detector: one behavioural contract — chaos exact-count grids,
@@ -77,21 +78,42 @@ conformance:
 # the ReportAllocs zero-allocation claim, and the fourth pins
 # BenchmarkHistogramObserve, whose ReportAllocs carries the
 # zero-allocation claim for the latency-histogram record path. The
-# countbench runs re-emit BENCH_udp.json (the committed
-# machine-readable E30 record), BENCH_transports.json (E31: the
-# per-transport frame bill, panic-checked integer-identical across
-# tcp/udp/inproc) and BENCH_latency.json (E32: per-transport flight
-# latency distributions with the client histogram's own p99 as
-# cross-check) — commit the refreshed files when the engine changes.
-# Keep in lockstep with .github/workflows/ci.yml.
+# countbench runs prove the three recorded experiments still run and
+# that their panic-checked integer bills hold (E30, E31: identical
+# across tcp/udp/inproc, E32); their envelopes go to a scratch
+# directory (git-ignored, inside the checkout) — a smoke run is one
+# noisy sample and must not touch the committed records (`make
+# bench-record` does that). Keep in lockstep with
+# .github/workflows/ci.yml.
+BENCH_OUT ?= .bench_build/smoke
+
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -bench='Sharded|Dedup|UDP' -benchtime=1x -run='^$$' ./internal/distnet ./internal/tcpnet ./internal/udpnet
 	$(GO) test -bench='BenchmarkUDPShardWorkers|BenchmarkUDPPipelinedBatch' -benchtime=1x -run='^$$' ./internal/udpnet
 	$(GO) test -bench='BenchmarkHistogramObserve' -benchtime=1x -run='^$$' ./internal/ctlplane
+	mkdir -p $(BENCH_OUT)
+	$(GO) run ./cmd/countbench -exp udpspeed -out $(BENCH_OUT)/BENCH_udp.json
+	$(GO) run ./cmd/countbench -exp transports -out $(BENCH_OUT)/BENCH_transports.json
+	$(GO) run ./cmd/countbench -exp latency -out $(BENCH_OUT)/BENCH_latency.json
+
+# The ONLY target that writes the committed BENCH_*.json records (E30's
+# machine-readable row set, E31's per-transport frame bill, E32's flight
+# latency distributions). Run it on a quiet host when the engine
+# changes, and commit the files with a note on what moved.
+bench-record:
 	$(GO) run ./cmd/countbench -exp udpspeed -out BENCH_udp.json
 	$(GO) run ./cmd/countbench -exp transports -out BENCH_transports.json
 	$(GO) run ./cmd/countbench -exp latency -out BENCH_latency.json
+
+# The wall-clock benchmark (bench/, a module of its own that the root
+# module's ./... does not reach): vet it and run the harness's own
+# tests — estimators, histogram, the BENCHMARK.json-vs-binary contract —
+# against this checkout's internal packages. It does not run the
+# benchmark; `bash bench/run.sh` does. Keep in lockstep with
+# .github/workflows/ci.yml.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The OPERATIONS.md metric reference is generated from the live
 # registrations: rebuild it with cmd/ctlplanedoc and diff against the

@@ -65,8 +65,8 @@ var healthy = map[string]string{
 	"countnet_client_pool_idle":               "≤ pool width",
 	"countnet_client_packets_total":           "≤ rpcs (MTU packing amortizes frames per datagram)",
 	"countnet_client_retransmits_total":       "0 on a clean network; rate tracks packet loss",
-	"countnet_client_pipeline_depth":          "= configured depth (constant); 1 = stop-and-wait",
-	"countnet_client_outstanding_packets":     "≤ depth × sessions; 0 when quiescent",
+	"countnet_client_pipeline_depth":          "= configured depth (constant); 1 by default",
+	"countnet_client_outstanding_packets":     "≤ depth × shards × sessions; 0 when quiescent",
 	"countnet_client_msgs_total":              "≈4.4 per token batched (E25); 2(d+1) unbatched",
 	"countnet_client_flight_seconds":          "p99 ≈ one RTT × pipeline depth; spikes track retries (see OPERATIONS.md triage)",
 	"countnet_client_attempt_seconds":         "≈ one wire RTT; ≪ flight_seconds unless retries are zero",

@@ -23,6 +23,13 @@ import (
 // Values a network epoch claimed but had not yet handed out when the
 // counter migrated back are spilled and served first afterwards, so the
 // value range stays dense (though not in issue order) across migrations.
+//
+// The density contract is therefore about CLAIMED values, not returned
+// ones: in a quiescent state the values Inc has returned, together with
+// those Outstanding reports (prefetched by the current network epoch or
+// spilled by an earlier one, waiting to be handed out), are exactly
+// [0, issued), each once. The returned values alone are dense only when
+// Outstanding is empty — always so with batching off.
 type Adaptive struct {
 	mu   sync.RWMutex
 	mode int32 // 0 = central, 1 = network (guarded by mu)
@@ -262,6 +269,22 @@ func (a *Adaptive) migrate(target int32) {
 	a.mode = target
 	a.epochStart.Store(a.ops.Load())
 	a.migrations.Add(1)
+}
+
+// Outstanding appends the values claimed from the value range but not yet
+// returned by any Inc — the current network epoch's prefetched buffers
+// plus the spill of earlier ones — to dst and returns it. It excludes
+// concurrent Inc and migration while it reads, and hands nothing out.
+func (a *Adaptive) Outstanding(dst []int64) []int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.spillMu.Lock()
+	dst = append(dst, a.spill...)
+	a.spillMu.Unlock()
+	if a.netBat != nil {
+		dst = a.netBat.appendBuffered(dst)
+	}
+	return dst
 }
 
 // Batch returns the resolved network-epoch batch size (0 until the first

@@ -154,11 +154,23 @@ func (b *Batched) Inc(pid int) int64 {
 // buffers, appending them to dst, and returns it. Callers must exclude
 // concurrent Inc (the adaptive counter drains under its migration lock).
 func (b *Batched) DrainBuffered(dst []int64) []int64 {
+	dst = b.appendBuffered(dst)
+	for i := range b.stripes {
+		s := &b.stripes[i]
+		s.mu.Lock()
+		s.vals = s.vals[:0]
+		s.mu.Unlock()
+	}
+	return dst
+}
+
+// appendBuffered copies every claimed-but-unreturned value onto dst
+// without consuming it. Only a quiescent snapshot is meaningful.
+func (b *Batched) appendBuffered(dst []int64) []int64 {
 	for i := range b.stripes {
 		s := &b.stripes[i]
 		s.mu.Lock()
 		dst = append(dst, s.vals...)
-		s.vals = s.vals[:0]
 		s.mu.Unlock()
 	}
 	return dst

@@ -118,11 +118,10 @@ func BenchmarkUDPShardWorkers(b *testing.B) {
 	}
 }
 
-// E30 session-side row: the pipelined batch path at depth 1 (the
-// stop-and-wait baseline) against depth 4, same worker-pool shards.
-// ReportAllocs proves the steady-state 0 allocs/op claim on the
-// session batch path — handles, packet buffers and reply scratch are
-// all pooled per pipe.
+// E30 session-side row: the batch path at window 1 against window 4,
+// same engine, same worker-pool shards. ReportAllocs proves the
+// steady-state 0 allocs/op claim on the session batch path — handles,
+// packet buffers and reply scratch are all pooled per session.
 func BenchmarkUDPPipelinedBatch(b *testing.B) {
 	for _, depth := range []int{1, 4} {
 		b.Run(fmt.Sprintf("CWT8x24/P=%d/k=64", depth), func(b *testing.B) {
@@ -143,7 +142,7 @@ func BenchmarkUDPPipelinedBatch(b *testing.B) {
 			defer sess.Close()
 			var vals []int64
 			if vals, err = sess.IncBatch(0, 64, vals[:0]); err != nil {
-				b.Fatal(err) // warmup: pipes spun up, handle pools primed
+				b.Fatal(err) // warmup: handle pool primed, scratch sized
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

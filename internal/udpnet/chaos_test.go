@@ -340,3 +340,70 @@ func TestUDPCounterRecoversAfterShardRestart(t *testing.T) {
 		}
 	}
 }
+
+// The dedup-horizon regression: a request datagram delivered late —
+// after its retransmitted copy was applied and answered, and after more
+// newer frames of the same client than the shard's dedup window holds —
+// must be refused, not applied a second time. The window is made small
+// and the delay long so every delayed packet lands past it; four
+// concurrent flights share the counter's client id, so first sends that
+// are merely late (their retransmit races siblings' newer sequences)
+// must still execute. The count proves both: Σ shard reads == tokens.
+func TestUDPDelayedDuplicateExactCount(t *testing.T) {
+	topo, err := core.New(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay = 20 * time.Millisecond
+	cluster := startClusterCfg(t, topo, 2, ShardConfig{Workers: 2, Dedup: wire.DedupConfig{Window: 32}})
+	fastRetransmit(cluster, 25)
+	cluster.SetPipeline(4)
+	cluster.SetDialWrapper(Faults{DelayProb: 0.02, Delay: delay, Seed: 13}.Wrapper())
+	ctr := cluster.NewCounterPool(4)
+	defer ctr.Close()
+
+	const procs, per, k = 4, 150, 3
+	var wg sync.WaitGroup
+	for pid := 0; pid < procs; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			var vals []int64
+			for i := 0; i < per; i++ {
+				var err error
+				if i%2 == 0 {
+					_, err = ctr.Inc(pid)
+				} else {
+					vals, err = ctr.IncBatch(pid, k, vals[:0])
+				}
+				if err != nil {
+					t.Errorf("pid %d op %d: %v", pid, i, err)
+					return
+				}
+			}
+		}(pid)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if ctr.Retransmits() == 0 {
+		t.Fatal("no retransmissions recorded — the delay fault was not exercised")
+	}
+	// Every delayed datagram is delivered one delay after it was
+	// written; the last of them must land before the count is read.
+	time.Sleep(2 * delay)
+	cluster.SetDialWrapper(nil)
+	sess, err := cluster.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	got, err := sess.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(procs * per / 2 * (1 + k)); got != want {
+		t.Fatalf("Σ shard reads = %d, want %d — a late duplicate was applied again", got, want)
+	}
+}

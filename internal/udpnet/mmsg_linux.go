@@ -176,7 +176,7 @@ func (io *mmsgIO) writeBatch(ps []pkt) error {
 }
 
 // segSender writes bursts of request datagrams on a connected client
-// socket via sendmmsg — the session pipeline's flush primitive. The
+// socket via sendmmsg — the session window's flush primitive. The
 // socket stays connected (no per-packet Name), so a burst of depth-many
 // chunks costs one kernel crossing. Fault-injecting wrappers are not
 // *net.UDPConn, so chaos tests transparently take the Write loop and
@@ -188,8 +188,8 @@ type segSender struct {
 	iovs []syscall.Iovec
 
 	// writeFn is bound once (see mmsgIO): a per-call closure would cost
-	// an allocation per flush on the zero-alloc session path. The pipe's
-	// session goroutine is the only caller.
+	// an allocation per flush on the zero-alloc session path. The session
+	// goroutine is the only caller.
 	writeFn func(fd uintptr) bool
 	wn      int
 	wsent   int

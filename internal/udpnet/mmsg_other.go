@@ -19,7 +19,7 @@ func newShardIO(conn *net.UDPConn, batch int) shardIO {
 }
 
 // segSender writes bursts of request datagrams (each bufs[i] one
-// datagram) on a connected client socket — the session pipeline's
+// datagram) on a connected client socket — the session window's
 // flush primitive. The portable variant is a plain write loop; conn
 // may be fault-wrapped, so nothing here assumes a real *net.UDPConn.
 type segSender struct {

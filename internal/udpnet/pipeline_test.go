@@ -21,8 +21,8 @@ func startClusterCfg(t *testing.T, topo *network.Network, shards int, cfg ShardC
 	return c
 }
 
-// The pipelining gate: depth>1 sessions — a bounded window of
-// outstanding request datagrams per socket, demuxed by request id —
+// The pipelining gate: sessions with a window deeper than one — several
+// outstanding request datagrams per socket, matched by request id —
 // driven through reorder-heavy fault grids against worker-pool shards,
 // and the counts must come out EXACT: Σ shard reads equals the
 // sequential total and the claimed values have zero gaps and zero
@@ -78,7 +78,7 @@ func TestUDPPipelineReorderExactCount(t *testing.T) {
 				if t.Failed() {
 					return
 				}
-				// Reconcile on fresh fault-free stop-and-wait sessions:
+				// Reconcile on fresh fault-free window-1 sessions:
 				// whatever the pipelined windows retransmitted, duplicated
 				// or reordered, the shards' dedup windows must have
 				// absorbed it all.
@@ -129,40 +129,69 @@ func TestUDPPipelineReorderExactCount(t *testing.T) {
 	}
 }
 
-// Pipelining must not change the per-frame bill: at zero loss a
-// depth-4 session sends exactly the frames a stop-and-wait session
-// sends — same packets, same rpcs — just more of them concurrently.
-// This is what keeps the E25-E28 rpcs/token floors valid at any depth.
+// The window depth must not change a single bill: at zero loss a
+// session sends exactly the same frames in exactly the same datagrams
+// at every depth — a deeper window only lets more of them travel at
+// once. This is what keeps the E25-E28 rpcs/token floors valid at any
+// depth. Two fleets: the E-series C(8,24) on 3 shards, where every
+// shard's share of a phase fits one datagram, and C(16,256) on 1 shard,
+// where a phase needs several and the window actually fills.
 func TestUDPPipelineRPCFloorMatchesSerial(t *testing.T) {
-	topo, err := core.New(8, 24)
-	if err != nil {
-		t.Fatal(err)
+	type bill struct {
+		op            string
+		rpcs, packets int64
 	}
-	bill := func(depth int) (rpcs, packets, vals int64) {
-		t.Helper()
-		cluster := startClusterCfg(t, topo, 3, ShardConfig{Workers: 4})
-		cluster.SetPipeline(depth)
-		sess, err := cluster.NewSession()
+	for _, fleet := range []struct {
+		w, t, shards, k int
+	}{{8, 24, 3, 64}, {16, 256, 1, 4096}} {
+		topo, err := core.New(fleet.w, fleet.t)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sess.Close()
-		vs, err := sess.IncBatch(0, 64, nil)
-		if err != nil {
-			t.Fatal(err)
+		bills := func(depth int) []bill {
+			t.Helper()
+			cluster := startClusterCfg(t, topo, fleet.shards, ShardConfig{Workers: 4})
+			cluster.SetPipeline(depth)
+			sess, err := cluster.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			var out []bill
+			for _, op := range []struct {
+				name string
+				run  func() (int, error)
+			}{
+				{"IncBatch", func() (int, error) { vs, err := sess.IncBatch(0, fleet.k, nil); return len(vs), err }},
+				{"Inc", func() (int, error) { _, err := sess.Inc(1); return 1, err }},
+				{"Dec", func() (int, error) { _, err := sess.Dec(2); return 1, err }},
+				{"Read", func() (int, error) { n, err := sess.Read(); return int(n), err }},
+			} {
+				r0, p0 := sess.RPCs(), sess.Packets()
+				got, err := op.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := map[string]int{"IncBatch": fleet.k, "Inc": 1, "Dec": 1, "Read": fleet.k}[op.name]; got != want {
+					t.Fatalf("depth %d: %s yielded %d, want %d", depth, op.name, got, want)
+				}
+				out = append(out, bill{op.name, sess.RPCs() - r0, sess.Packets() - p0})
+			}
+			if sess.Retransmits() != 0 {
+				t.Fatalf("depth %d: lossless loopback run retransmitted %d packets", depth, sess.Retransmits())
+			}
+			return out
 		}
-		return sess.RPCs(), sess.Packets(), int64(len(vs))
-	}
-	r1, p1, v1 := bill(1)
-	r4, p4, v4 := bill(4)
-	if v1 != 64 || v4 != 64 {
-		t.Fatalf("IncBatch returned %d and %d values, want 64", v1, v4)
-	}
-	if r1 != r4 {
-		t.Fatalf("rpcs diverged: serial %d, depth-4 %d — pipelining changed the frame bill", r1, r4)
-	}
-	if p1 != p4 {
-		t.Fatalf("packets diverged: serial %d, depth-4 %d — pipelining changed the packing", p1, p4)
+		base := bills(1)
+		for _, depth := range []int{2, 4, 8} {
+			for i, b := range bills(depth) {
+				if b != base[i] {
+					t.Fatalf("C(%d,%d): %s bill diverged: window 1 sent %d rpcs in %d packets, window %d sent %d in %d",
+						fleet.w, fleet.t, b.op, base[i].rpcs, base[i].packets, depth, b.rpcs, b.packets)
+				}
+			}
+		}
+		t.Logf("C(%d,%d) on %d shards, every depth: %+v", fleet.w, fleet.t, fleet.shards, base)
 	}
 }
 

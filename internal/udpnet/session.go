@@ -1,8 +1,6 @@
 package udpnet
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -38,6 +36,7 @@ type Cluster struct {
 	net      *network.Network
 	addrs    []string
 	stride   int64
+	exits    []int32 // every exit wire, the id list of a cell phase or a READ
 	dialWrap func(net.Conn) net.Conn
 
 	mu       sync.Mutex // guards policy, timer and pipeline against racing sessions
@@ -49,10 +48,15 @@ type Cluster struct {
 // NewCluster wires a topology to its shard addresses with the default
 // retransmit policy.
 func NewCluster(n *network.Network, addrs []string) *Cluster {
+	exits := make([]int32, n.OutWidth())
+	for w := range exits {
+		exits[w] = int32(w)
+	}
 	return &Cluster{
 		net:      n,
 		addrs:    addrs,
 		stride:   int64(n.OutWidth()),
+		exits:    exits,
 		policy:   wire.RetryPolicy{Attempts: DefaultRetransmitAttempts, Budget: DefaultRetransmitBudget},
 		timer:    DefaultRetransmitTimer,
 		pipeline: 1,
@@ -81,16 +85,15 @@ func (c *Cluster) SetRetransmitPolicy(policy wire.RetryPolicy, timer wire.Backof
 	c.mu.Unlock()
 }
 
-// SetPipeline bounds how many request datagrams a session socket keeps
-// outstanding at once for sessions created after the call. depth <= 1
-// is stop-and-wait — the exact serial path every earlier E-series
-// number was taken at; depth > 1 turns each socket into a bounded
-// pipeline (see pipeline.go) that sends up to depth packets before the
-// first reply and lets a layer fan out to every shard concurrently.
-// The frames and their (client, seq) pairs are identical either way,
-// so the exactly-once guarantee is untouched — the shard's per-client
-// dedup window is thousands of frames deep against the few hundred a
-// full window can hold.
+// SetPipeline sets the per-socket window of sessions created after the
+// call: how many request datagrams a session keeps outstanding on one
+// socket at once (see pipeline.go). depth <= 1 is a window of one. The
+// depth changes neither the frames, their (client, seq) pairs, nor how
+// they pack into datagrams — a layer always fans out to every shard
+// before awaiting any — so the exactly-once guarantee and the frame and
+// packet bills are the same at every depth; a deeper window only lets a
+// shard's share of a wide layer, more than one datagram, travel in one
+// burst.
 func (c *Cluster) SetPipeline(depth int) {
 	if depth < 1 {
 		depth = 1
@@ -113,17 +116,19 @@ func (c *Cluster) Pipeline() int {
 func (c *Cluster) Hops() int { return c.net.Depth() + 1 }
 
 // Session is a single-goroutine client: one connected UDP socket per
-// shard. Every session speaks protocol v2 — each request packet opens
-// with HELLO binding it to the session owner's client id and every
+// shard, each with its window of outstanding request datagrams (see
+// pipeline.go). Every session speaks protocol v2 — each request packet
+// opens with HELLO binding it to the session owner's client id and every
 // mutating frame is seq-numbered — because over a lossy transport the
 // retransmit path is not optional, and only deduplicated frames can be
 // retransmitted safely.
 type Session struct {
 	c       *Cluster
 	client  uint64
-	conns   []net.Conn
+	socks   []sock
 	policy  wire.RetryPolicy
 	timer   wire.Backoff
+	depth   int           // per-socket window, fixed at dial
 	rpcs    atomic.Int64  // request frames sent (retransmits included)
 	packets atomic.Int64  // request datagrams sent, first sends and retransmits
 	retrans atomic.Int64  // of which retransmits
@@ -131,30 +136,18 @@ type Session struct {
 	tape    *wire.SeqTape // set by a Counter flight for replayable sequences
 	reqid   uint64        // request-id source (sessions are single-goroutine)
 
-	// Pipelining state: the per-socket window depth (1 = stop-and-wait,
-	// the serial path below), the lazily created per-socket pipes, and
-	// the in-flight gauge the control plane reads.
-	depth       int
-	pipes       []*pipe
+	// outstanding is the in-flight gauge the control plane reads.
 	outstanding atomic.Int64
 
-	// Packet and batch walk scratch, reused across calls.
-	sbuf    []byte
+	// Window and walk scratch, reused across calls.
+	free    []*handle
 	rbuf    []byte
 	frames  []wire.Frame
 	fpkt    []wire.Frame
-	ids     []int32
 	vals    []int64
 	pending []int64
 	tally   []int64
 	dist    []int64
-
-	// Pipelined fan-out scratch: handles per layer, the handle-range cut
-	// per shard, and per-shard id lists that must outlive the submit
-	// phase (s.ids is rebuilt per shard, these survive until await).
-	hnds  []*handle
-	shCut []int
-	shIDs [][]int32
 }
 
 // NewSession opens one socket per shard under a fresh client id.
@@ -169,7 +162,7 @@ func (c *Cluster) newSession(client uint64) (*Session, error) {
 	s := &Session{
 		c:      c,
 		client: client,
-		conns:  make([]net.Conn, len(c.addrs)),
+		socks:  make([]sock, len(c.addrs)),
 		policy: policy,
 		timer:  timer,
 		depth:  depth,
@@ -184,54 +177,20 @@ func (c *Cluster) newSession(client uint64) (*Session, error) {
 		if c.dialWrap != nil {
 			conn = c.dialWrap(conn)
 		}
-		s.conns[i] = conn
+		s.socks[i] = sock{shard: i, conn: conn, seg: newSegSender(conn)}
 	}
 	return s, nil
 }
 
-// Close drops the session's sockets and reaps the pipe readers a
-// pipelined session started; any packet still outstanding completes
-// with the socket's close error.
+// Close drops the session's sockets. It may be called from another
+// goroutine while the session is mid-exchange: every packet still
+// outstanding then completes with the socket's close error.
 func (s *Session) Close() {
-	for _, p := range s.pipes {
-		if p != nil {
-			p.stop()
-		}
-	}
-	for _, conn := range s.conns {
-		if conn != nil {
+	for i := range s.socks {
+		if conn := s.socks[i].conn; conn != nil {
 			conn.Close()
 		}
 	}
-	for _, p := range s.pipes {
-		if p != nil {
-			p.wg.Wait()
-		}
-	}
-}
-
-// SetPipeline sets this session's per-socket window depth. Only valid
-// before the session's first exchange (a session is single-goroutine
-// and so is this switch); pooled sessions inherit the cluster's depth
-// at dial instead.
-func (s *Session) SetPipeline(depth int) {
-	if depth < 1 {
-		depth = 1
-	}
-	s.depth = depth
-}
-
-// pipe lazily creates the pipelined state of one socket.
-func (s *Session) pipe(shard int) *pipe {
-	if s.pipes == nil {
-		s.pipes = make([]*pipe, len(s.conns))
-	}
-	p := s.pipes[shard]
-	if p == nil {
-		p = newPipe(s, shard)
-		s.pipes[shard] = p
-	}
-	return p
 }
 
 // RPCs returns the number of request frames this session has sent,
@@ -248,8 +207,8 @@ func (s *Session) Packets() int64 { return s.packets.Load() }
 // Retransmits returns how many of those datagrams were retransmissions.
 func (s *Session) Retransmits() int64 { return s.retrans.Load() }
 
-// Outstanding returns the request datagrams currently in flight on the
-// session's pipelined sockets (implements xport.PacketSession).
+// Outstanding returns the request datagrams currently in the session's
+// windows (implements xport.PacketSession).
 func (s *Session) Outstanding() int64 { return s.outstanding.Load() }
 
 // SetTape points the session's mutating-frame sequence source at a
@@ -278,88 +237,27 @@ func (s *Session) mut(op byte, id int32, n int64) wire.Frame {
 	return wire.Frame{Op: wire.V2Op(op), ID: id, Seq: s.nextSeq(), N: n}
 }
 
-// exchange performs one datagram round trip against a shard: a packet
-// carrying HELLO plus the given frames, retransmitted under the
-// session's policy until the matching response (by request id) arrives,
-// its per-frame values appended to dst. Stale responses — to earlier
-// exchanges, or duplicate replies to retransmitted ones — are discarded
-// by id; the request id makes matching exact however the network
-// reorders.
-func (s *Session) exchange(shard int, frames []wire.Frame, dst []int64) ([]int64, error) {
-	if s.depth > 1 {
-		p := s.pipe(shard)
-		h := p.submit(frames)
-		p.flush()
-		return p.await(h, dst)
+// exchange performs one single-frame round trip against a shard and
+// returns the frame's reply value: the frame travels in a packet of its
+// own, retransmitted under the session's policy until the matching
+// response (by request id) arrives.
+func (s *Session) exchange(shard int, f wire.Frame) (int64, error) {
+	k := &s.socks[shard]
+	one := [1]wire.Frame{f}
+	s.submit(k, one[:])
+	s.flush(k)
+	vals, err := s.await(k, s.vals[:0])
+	s.vals = vals[:0]
+	if err != nil {
+		return 0, err
 	}
-	s.reqid++
-	s.fpkt = append(s.fpkt[:0], wire.Frame{Op: wire.OpHello, Client: s.client})
-	s.fpkt = append(s.fpkt, frames...)
-	s.sbuf = wire.AppendPacket(s.sbuf[:0], s.reqid, s.fpkt)
-	want := len(frames)
-	conn := s.conns[shard]
-
-	var deadline time.Time
-	if s.policy.Budget > 0 {
-		deadline = time.Now().Add(s.policy.Budget)
-	}
-	attempts := s.policy.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			s.retrans.Add(1)
-		}
-		s.packets.Add(1)
-		s.rpcs.Add(int64(want))
-		if _, err := conn.Write(s.sbuf); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return dst, err
-			}
-			lastErr = err // transient (e.g. surfaced ICMP): keep trying
-		}
-		wait := time.Now().Add(s.timer.Delay(attempt))
-		if !deadline.IsZero() && wait.After(deadline) {
-			wait = deadline
-		}
-		conn.SetReadDeadline(wait)
-		for {
-			n, err := conn.Read(s.rbuf)
-			if err != nil {
-				if errors.Is(err, net.ErrClosed) {
-					return dst, err
-				}
-				lastErr = err
-				break // timeout or transient: retransmit
-			}
-			if n < wire.PacketOverhead ||
-				binary.BigEndian.Uint64(s.rbuf[:wire.PacketOverhead]) != s.reqid {
-				continue // stale or foreign datagram
-			}
-			if n != wire.PacketOverhead+8*want {
-				continue // corrupt: not a complete reply to this request
-			}
-			for i := 0; i < want; i++ {
-				off := wire.PacketOverhead + 8*i
-				dst = append(dst, int64(binary.BigEndian.Uint64(s.rbuf[off:off+8])))
-			}
-			return dst, nil
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			break
-		}
-	}
-	return dst, fmt.Errorf("udpnet: shard %d: no response inside the retransmit budget: %w",
-		shard, lastErr)
+	return vals[0], nil
 }
 
 // chunkEnd returns the end of the datagram-sized chunk starting at
 // start: the longest prefix fitting both the wire.MaxDatagram request
-// budget and the 8-bytes-per-frame response budget. Serial and
-// pipelined exchanges share it, so a depth switch never changes how
-// frames pack into packets.
+// budget and the 8-bytes-per-frame response budget. How frames pack
+// into packets depends on nothing else — not on the window depth.
 func chunkEnd(frames []wire.Frame, start int) int {
 	reqBytes := wire.PacketOverhead + wire.FrameLen(wire.OpHello)
 	respBytes := wire.PacketOverhead
@@ -376,51 +274,67 @@ func chunkEnd(frames []wire.Frame, start int) int {
 	return end
 }
 
-// exchangeChunked splits a frame group into datagrams under the
-// wire.MaxDatagram budget — bounding both the request bytes and the
-// 8-bytes-per-frame response — and exchanges each chunk in turn. A
-// pipelined session submits every chunk up front (the window keeps
-// depth of them outstanding) and then collects the replies in order.
-func (s *Session) exchangeChunked(shard int, frames []wire.Frame, dst []int64) ([]int64, error) {
-	if s.depth > 1 {
-		p := s.pipe(shard)
-		h0 := len(s.hnds)
-		s.hnds = s.submitChunks(p, frames, s.hnds)
-		p.flush()
-		var firstErr error
-		for _, h := range s.hnds[h0:] {
-			var err error
-			dst, err = p.await(h, dst)
-			if err != nil && firstErr == nil {
-				firstErr = err
+// fan runs one phase of a walk against every shard at once: a layer of
+// STEPN frames, the exit-cell CELLN frames, or a cluster-wide READ. For
+// each shard in turn it builds one frame per id the shard owns (id ≡
+// shard mod S; mutating ops skip ids whose count is zero and send the
+// count negated for antitokens), splits them into datagram-sized chunks
+// and puts them on the wire; only then does it await the shards, again
+// in order, handing each one's ids and reply values to apply. The phase
+// costs one round trip across all shards, and sequence numbers are
+// drawn shard by shard, id by id — the order a rewound flight replays.
+// On an error the remaining shards are still awaited (every submitted
+// packet is collected exactly once) but no longer applied, and the
+// first error is reported.
+func (s *Session) fan(op byte, ids []int32, counts []int64, anti bool, apply func(ids []int32, vals []int64)) error {
+	shards := len(s.socks)
+	for shard := range s.socks {
+		k := &s.socks[shard]
+		k.ids = k.ids[:0]
+		s.frames = s.frames[:0]
+		for _, id := range ids {
+			if int(id)%shards != shard {
+				continue
 			}
+			f := wire.Frame{Op: wire.OpRead, ID: id}
+			if op != wire.OpRead {
+				n := counts[id]
+				if n == 0 {
+					continue
+				}
+				if anti {
+					n = -n
+				}
+				wid := id
+				if op == wire.OpCellN {
+					// The stride rides in the id's upper bits (see Shard.apply).
+					wid |= int32(s.c.stride) << 16
+				}
+				f = s.mut(op, wid, n)
+			}
+			s.frames = append(s.frames, f)
+			k.ids = append(k.ids, id)
 		}
-		s.hnds = s.hnds[:h0]
-		return dst, firstErr
-	}
-	start := 0
-	for start < len(frames) {
-		end := chunkEnd(frames, start)
-		var err error
-		dst, err = s.exchange(shard, frames[start:end], dst)
-		if err != nil {
-			return dst, err
+		for start := 0; start < len(s.frames); {
+			end := chunkEnd(s.frames, start)
+			s.submit(k, s.frames[start:end])
+			start = end
 		}
-		start = end
+		s.flush(k)
 	}
-	return dst, nil
-}
-
-// submitChunks submits a frame group to a pipe chunk by chunk (same
-// packet boundaries as the serial path) and appends the handles.
-func (s *Session) submitChunks(p *pipe, frames []wire.Frame, hnds []*handle) []*handle {
-	start := 0
-	for start < len(frames) {
-		end := chunkEnd(frames, start)
-		hnds = append(hnds, p.submit(frames[start:end]))
-		start = end
+	var firstErr error
+	for shard := range s.socks {
+		k := &s.socks[shard]
+		vals, err := s.await(k, s.vals[:0])
+		s.vals = vals[:0]
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if firstErr == nil {
+			apply(k.ids, vals)
+		}
 	}
-	return hnds
+	return firstErr
 }
 
 // Inc shepherds one token through the distributed network and returns
@@ -429,32 +343,24 @@ func (s *Session) submitChunks(p *pipe, frames []wire.Frame, hnds []*handle) []*
 // hop. A retried Inc walks the identical path — the dedup windows
 // replay the original ports for already-applied sequences.
 func (s *Session) Inc(pid int) (int64, error) {
-	shards := len(s.c.addrs)
+	shards := len(s.socks)
 	in := pid % s.c.net.InWidth()
 	node, port := s.c.net.InputDest(in)
-	var one [1]wire.Frame
 	for node >= 0 {
-		one[0] = s.mut(wire.OpStep, int32(node), 0)
-		vals, err := s.exchange(node%shards, one[:], s.vals[:0])
-		s.vals = vals[:0]
+		out, err := s.exchange(node%shards, s.mut(wire.OpStep, int32(node), 0))
 		if err != nil {
 			return 0, err
 		}
-		node, port = s.c.net.Dest(node, int(vals[0]))
+		node, port = s.c.net.Dest(node, int(out))
 	}
-	one[0] = s.mut(wire.OpCell, int32(port)|int32(s.c.stride)<<16, 0)
-	vals, err := s.exchange(port%shards, one[:], s.vals[:0])
-	s.vals = vals[:0]
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
+	return s.exchange(port%shards, s.mut(wire.OpCell, int32(port)|int32(s.c.stride)<<16, 0))
 }
 
 // Dec shepherds one antitoken through the network (one-element
 // DecBatch).
 func (s *Session) Dec(pid int) (int64, error) {
-	vals, err := s.DecBatch(pid, 1, nil)
+	var one [1]int64
+	vals, err := s.DecBatch(pid, 1, one[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -470,7 +376,7 @@ func (s *Session) IncBatch(pid, k int, dst []int64) ([]int64, error) {
 	if k <= 0 {
 		return dst, nil
 	}
-	return s.batch(pid%s.c.net.InWidth(), int64(k), false, dst)
+	return s.Batch(pid%s.c.net.InWidth(), int64(k), false, dst)
 }
 
 // DecBatch is IncBatch for Fetch&Decrement: the batched frames carry a
@@ -480,28 +386,22 @@ func (s *Session) DecBatch(pid, k int, dst []int64) ([]int64, error) {
 	if k <= 0 {
 		return dst, nil
 	}
-	return s.batch(pid%s.c.net.InWidth(), int64(k), true, dst)
+	return s.Batch(pid%s.c.net.InWidth(), int64(k), true, dst)
 }
 
-// batch walks the topology layer by layer. Within a layer no balancer
-// feeds another, so every pending group in it is final the moment the
-// previous layer finished — the session packs the layer's STEPN frames
-// by owning shard into as few datagrams as the MTU budget allows, folds
-// the split arithmetic locally from the replied first indices (it knows
-// the wiring and initial states, exactly like tcpnet), and finishes
-// with the exit-cell CELLN frames packed per shard. The walk is
-// deterministic in (wire, k, anti), so a retried flight re-sends the
-// identical frame sequence and the dedup windows make it exactly-once.
-func (s *Session) batch(in int, k int64, anti bool, dst []int64) ([]int64, error) {
-	return s.Batch(in, k, anti, dst)
-}
-
-// Batch is the exported spelling of the layer-packed batch walk
-// (implements xport.Session); `in` is the input wire, already reduced
-// mod InWidth.
+// Batch walks the topology layer by layer (implements xport.Session;
+// `in` is the input wire, already reduced mod InWidth). Within a layer
+// no balancer feeds another, so every pending group in it is final the
+// moment the previous layer finished — the session packs the layer's
+// STEPN frames by owning shard into as few datagrams as the MTU budget
+// allows, folds the split arithmetic locally from the replied first
+// indices (it knows the wiring and initial states, exactly like tcpnet),
+// and finishes with the exit-cell CELLN frames packed per shard. The
+// walk is deterministic in (wire, k, anti), so a retried flight re-sends
+// the identical frame sequence and the dedup windows make it
+// exactly-once.
 func (s *Session) Batch(in int, k int64, anti bool, dst []int64) ([]int64, error) {
 	n := s.c.net
-	shards := len(s.c.addrs)
 	if s.pending == nil {
 		s.pending = make([]int64, n.Size())
 		s.tally = make([]int64, n.OutWidth())
@@ -515,78 +415,24 @@ func (s *Session) Batch(in int, k int64, anti bool, dst []int64) ([]int64, error
 		pending[nd] = k
 	}
 	for _, layer := range n.Layers() {
-		if s.depth > 1 {
-			// Pipelined fan-out: submit every shard's frames for this
-			// layer before awaiting any reply — the layer costs one
-			// round trip across ALL shards instead of one per shard.
-			if err := s.stepLayerPipelined(layer, shards, pending, tally, anti); err != nil {
-				clear(pending) // leave the scratch reusable
-				return dst, err
-			}
-			continue
-		}
-		for shard := 0; shard < shards; shard++ {
-			s.frames = s.frames[:0]
-			s.ids = s.ids[:0]
-			for _, id := range layer {
-				if int(id)%shards != shard || pending[id] == 0 {
-					continue
-				}
-				sendN := pending[id]
-				if anti {
-					sendN = -sendN
-				}
-				s.frames = append(s.frames, s.mut(wire.OpStepN, id, sendN))
-				s.ids = append(s.ids, id)
-			}
-			if len(s.frames) == 0 {
-				continue
-			}
-			vals, err := s.exchangeChunked(shard, s.frames, s.vals[:0])
-			s.vals = vals
-			if err != nil {
-				clear(pending) // leave the scratch reusable
-				return dst, err
-			}
-			s.applyStep(s.ids, vals, pending, tally)
-		}
-	}
-	if s.depth > 1 {
-		return s.cellsPipelined(shards, tally, anti, dst)
-	}
-	stride := s.c.stride
-	for shard := 0; shard < shards; shard++ {
-		s.frames = s.frames[:0]
-		s.ids = s.ids[:0]
-		for wireOut, cnt := range tally {
-			if cnt == 0 || wireOut%shards != shard {
-				continue
-			}
-			sendN := cnt
-			if anti {
-				sendN = -cnt
-			}
-			s.frames = append(s.frames, s.mut(wire.OpCellN, int32(wireOut)|int32(stride)<<16, sendN))
-			s.ids = append(s.ids, int32(wireOut))
-		}
-		if len(s.frames) == 0 {
-			continue
-		}
-		vals, err := s.exchangeChunked(shard, s.frames, s.vals[:0])
-		s.vals = vals
+		err := s.fan(wire.OpStepN, layer, pending, anti, func(ids []int32, vals []int64) {
+			s.applyStep(ids, vals, pending, tally)
+		})
 		if err != nil {
+			clear(pending) // leave the scratch reusable
 			return dst, err
 		}
-		dst = s.applyCells(s.ids, vals, tally, anti, dst)
 	}
-	return dst, nil
+	err := s.fan(wire.OpCellN, s.c.exits, tally, anti, func(ids []int32, vals []int64) {
+		dst = s.applyCells(ids, vals, tally, anti, dst)
+	})
+	return dst, err
 }
 
 // applyStep folds one shard's STEPN replies back into the walk: each
 // first transition index distributes that balancer's pending group
 // across its output ports, landing on next-layer balancers or the exit
-// tally. Shared by the serial and pipelined paths so a depth switch
-// cannot change the arithmetic.
+// tally.
 func (s *Session) applyStep(ids []int32, vals []int64, pending, tally []int64) {
 	n := s.c.net
 	for i, id := range ids {
@@ -613,8 +459,7 @@ func (s *Session) applyStep(ids []int32, vals []int64, pending, tally []int64) {
 }
 
 // applyCells unfolds one shard's CELLN replies into the claimed values,
-// newest-issued first per exit cell for antitokens. Shared by the
-// serial and pipelined cell phases.
+// newest-issued first per exit cell for antitokens.
 func (s *Session) applyCells(ids []int32, vals []int64, tally []int64, anti bool, dst []int64) []int64 {
 	stride := s.c.stride
 	for i, wireOut := range ids {
@@ -633,193 +478,26 @@ func (s *Session) applyCells(ids []int32, vals []int64, tally []int64, anti bool
 	return dst
 }
 
-// fanScratch readies the per-shard fan-out scratch.
-func (s *Session) fanScratch(shards int) {
-	if s.shIDs == nil {
-		s.shIDs = make([][]int32, len(s.conns))
-		s.shCut = make([]int, len(s.conns)+1)
-	}
-	s.hnds = s.hnds[:0]
-}
-
-// stepLayerPipelined walks one layer with every shard in flight at
-// once: build and submit each shard's STEPN chunks (drawing sequence
-// numbers in the exact order the serial path would, so a retried
-// flight replays identically), flush all pipes, then await shard by
-// shard and fold the replies. The await order is the submit order, so
-// the values line up with the ids by construction.
-func (s *Session) stepLayerPipelined(layer []int32, shards int, pending, tally []int64, anti bool) error {
-	s.fanScratch(shards)
-	for shard := 0; shard < shards; shard++ {
-		s.shCut[shard] = len(s.hnds)
-		ids := s.shIDs[shard][:0]
-		s.frames = s.frames[:0]
-		for _, id := range layer {
-			if int(id)%shards != shard || pending[id] == 0 {
-				continue
-			}
-			sendN := pending[id]
-			if anti {
-				sendN = -sendN
-			}
-			s.frames = append(s.frames, s.mut(wire.OpStepN, id, sendN))
-			ids = append(ids, id)
-		}
-		s.shIDs[shard] = ids
-		if len(s.frames) != 0 {
-			s.hnds = s.submitChunks(s.pipe(shard), s.frames, s.hnds)
-		}
-	}
-	s.shCut[shards] = len(s.hnds)
-	return s.awaitFan(shards, func(shard int, vals []int64) {
-		s.applyStep(s.shIDs[shard], vals, pending, tally)
-	})
-}
-
-// cellsPipelined is the exit-cell phase with every shard in flight at
-// once, appending the claimed values in the same shard order as the
-// serial path.
-func (s *Session) cellsPipelined(shards int, tally []int64, anti bool, dst []int64) ([]int64, error) {
-	s.fanScratch(shards)
-	stride := s.c.stride
-	for shard := 0; shard < shards; shard++ {
-		s.shCut[shard] = len(s.hnds)
-		ids := s.shIDs[shard][:0]
-		s.frames = s.frames[:0]
-		for wireOut, cnt := range tally {
-			if cnt == 0 || wireOut%shards != shard {
-				continue
-			}
-			sendN := cnt
-			if anti {
-				sendN = -cnt
-			}
-			s.frames = append(s.frames, s.mut(wire.OpCellN, int32(wireOut)|int32(stride)<<16, sendN))
-			ids = append(ids, int32(wireOut))
-		}
-		s.shIDs[shard] = ids
-		if len(s.frames) != 0 {
-			s.hnds = s.submitChunks(s.pipe(shard), s.frames, s.hnds)
-		}
-	}
-	s.shCut[shards] = len(s.hnds)
-	err := s.awaitFan(shards, func(shard int, vals []int64) {
-		dst = s.applyCells(s.shIDs[shard], vals, tally, anti, dst)
-	})
-	return dst, err
-}
-
-// awaitFan flushes every pipe touched by a fan-out, awaits the handles
-// shard by shard in submit order, and applies each shard's reply
-// values. On an error it keeps draining the remaining handles — every
-// submitted handle is awaited exactly once — and reports the first.
-func (s *Session) awaitFan(shards int, apply func(shard int, vals []int64)) error {
-	for shard := 0; shard < shards; shard++ {
-		if s.pipes != nil && s.pipes[shard] != nil {
-			s.pipes[shard].flush()
-		}
-	}
-	var firstErr error
-	for shard := 0; shard < shards; shard++ {
-		hs := s.hnds[s.shCut[shard]:s.shCut[shard+1]]
-		if len(hs) == 0 {
-			continue
-		}
-		vals := s.vals[:0]
-		shardErr := firstErr
-		for _, h := range hs {
-			var err error
-			vals, err = s.pipes[shard].await(h, vals)
-			if err != nil && shardErr == nil {
-				shardErr = err
-			}
-		}
-		s.vals = vals
-		if shardErr != nil {
-			if firstErr == nil {
-				firstErr = shardErr
-			}
-			continue
-		}
-		apply(shard, vals)
-	}
-	s.hnds = s.hnds[:0]
-	return firstErr
-}
-
 // ReadCell returns exit cell w's current value without modifying it
 // (op READ, idempotent so retransmit-safe without a sequence number).
 func (s *Session) ReadCell(w int) (int64, error) {
-	one := [1]wire.Frame{{Op: wire.OpRead, ID: int32(w)}}
-	vals, err := s.exchange(w%len(s.c.addrs), one[:], s.vals[:0])
-	s.vals = vals[:0]
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
+	return s.exchange(w%len(s.socks), wire.Frame{Op: wire.OpRead, ID: int32(w)})
 }
 
 // Read sums the exit cells into the cluster's net count (increments
-// minus decrements), the READ frames packed per shard — a whole-cluster
-// exact-count read costs one datagram exchange per shard (per MTU
-// chunk). Only meaningful while the cluster is quiescent, like
-// counter.Network.Issued.
+// minus decrements), the READ frames packed per shard and every shard
+// asked at once — a whole-cluster exact-count read costs one round trip
+// of one datagram per shard (per MTU chunk). Only meaningful while the
+// cluster is quiescent, like counter.Network.Issued.
 func (s *Session) Read() (int64, error) {
-	n := s.c.net
-	shards := len(s.c.addrs)
 	var total int64
-	if s.depth > 1 {
-		// Fan the READ frames out to every shard at once: a pipelined
-		// whole-cluster read costs one round trip, not one per shard.
-		s.fanScratch(shards)
-		for shard := 0; shard < shards; shard++ {
-			s.shCut[shard] = len(s.hnds)
-			ids := s.shIDs[shard][:0]
-			s.frames = s.frames[:0]
-			for w := 0; w < n.OutWidth(); w++ {
-				if w%shards != shard {
-					continue
-				}
-				s.frames = append(s.frames, wire.Frame{Op: wire.OpRead, ID: int32(w)})
-				ids = append(ids, int32(w))
-			}
-			s.shIDs[shard] = ids
-			if len(s.frames) != 0 {
-				s.hnds = s.submitChunks(s.pipe(shard), s.frames, s.hnds)
-			}
-		}
-		s.shCut[shards] = len(s.hnds)
-		err := s.awaitFan(shards, func(shard int, vals []int64) {
-			for i, w := range s.shIDs[shard] {
-				total += (vals[i] - int64(w)) / s.c.stride
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-		return total, nil
-	}
-	for shard := 0; shard < shards; shard++ {
-		s.frames = s.frames[:0]
-		s.ids = s.ids[:0]
-		for w := 0; w < n.OutWidth(); w++ {
-			if w%shards != shard {
-				continue
-			}
-			s.frames = append(s.frames, wire.Frame{Op: wire.OpRead, ID: int32(w)})
-			s.ids = append(s.ids, int32(w))
-		}
-		if len(s.frames) == 0 {
-			continue
-		}
-		vals, err := s.exchangeChunked(shard, s.frames, s.vals[:0])
-		s.vals = vals
-		if err != nil {
-			return 0, err
-		}
-		for i, w := range s.ids {
+	err := s.fan(wire.OpRead, s.c.exits, nil, false, func(ids []int32, vals []int64) {
+		for i, w := range ids {
 			total += (vals[i] - int64(w)) / s.c.stride
 		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }

@@ -66,8 +66,9 @@ import (
 type ShardConfig struct {
 	// Dedup sizes the per-client exactly-once windows; zero fields take
 	// the wire defaults. The window is the retransmit horizon: a late
-	// duplicate is answered from the record as long as fewer than
-	// Window newer frames from the same client landed in between.
+	// duplicate is answered from the record until Window newer sequence
+	// numbers of its residue class have been applied, and dropped — never
+	// applied again — after that (see wire.DedupEntry.Do).
 	Dedup wire.DedupConfig
 
 	// Workers is the packet-processing pool width; <= 0 means 1 (the

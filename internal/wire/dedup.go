@@ -12,10 +12,11 @@ import (
 // Default dedup bounds: a shard remembers the (seq, reply) pairs of at
 // most DefaultDedupWindow applied mutating frames per client, and
 // tracks at most DefaultDedupClients clients (least-recently-registered
-// unpinned client evicted first). The window is the exactly-once
-// horizon — a retry is deduplicated as long as fewer than Window newer
-// frames from the same client reached the shard in between, which a
-// prompt bounded-budget retry stays far inside of.
+// unpinned client evicted first). The window is the replay horizon — a
+// retry is answered from its record until a frame Window sequence
+// numbers newer (or a multiple) has been applied, which a prompt
+// bounded-budget retry stays far inside of; past it the retry is
+// refused, not re-executed (see DedupEntry.Do).
 const (
 	DefaultDedupWindow  = 4096
 	DefaultDedupClients = 1024
@@ -35,7 +36,8 @@ const (
 const DefaultDedupMinIdle = 10 * time.Second
 
 // DedupConfig sizes a shard's exactly-once state: Window is the number
-// of (seq, reply) records kept per client, Clients the number of
+// of (seq, reply) records kept per client (whether a sequence was
+// applied is remembered for 64 × Window sequence numbers), Clients the number of
 // clients tracked, MinIdle the how-recently-bound guard protecting
 // live-but-unpinned clients from cap eviction (negative disables it).
 // Zero fields take the defaults, so the zero value is the production
@@ -115,42 +117,109 @@ type DedupEntry struct {
 	refs     int
 	lastBind time.Time // guarded by the table's mutex
 
-	// The client's bounded exactly-once window: the replies of its last
-	// Window applied mutating frames, keyed by sequence number, with
-	// FIFO eviction.
+	// The client's bounded exactly-once window, two rings indexed by
+	// sequence number (see Do). ring[seq mod Window] holds the reply of
+	// the newest applied frame of that residue class — the records the
+	// gauge counts, used of them occupied. applied[(seq/64) mod Window]
+	// holds one bit per sequence of a 64-sequence block: whether it was
+	// applied, remembered dedupAppliedSpan times longer than its reply.
+	// Both grow on demand, so an entry costs nothing until its client
+	// sends a mutating frame.
 	win     int
 	wmu     sync.Mutex
-	replies map[uint64]int64
-	order   []uint64 // insertion-order ring over recorded seqs
-	head    int
+	ring    []dedupSlot
+	applied []dedupBlock
+	used    int
 }
 
-// Do replays the recorded reply for an already-applied sequence, or
-// runs exec exactly once and records its reply. The lock spans lookup
-// and execution so a retry racing the original frame (same client, two
-// connections or two datagrams) cannot double-apply; exec is a single
-// atomic word operation, so serializing a client's frames per shard
-// here costs lock-handoff nanoseconds against microsecond round trips.
+// dedupSlot is one recorded (seq, reply) pair.
+type dedupSlot struct {
+	seq  uint64
+	val  int64
+	used bool
+}
+
+// dedupBlock is the applied bits of sequences 64*blk .. 64*blk+63. The
+// zero value reads as block 0 with nothing applied, which is what an
+// untouched position means.
+type dedupBlock struct {
+	blk  uint64
+	bits uint64
+}
+
+// dedupAppliedSpan is how many windows of sequence numbers a client's
+// applied bits cover: Window replies are kept, 64 × Window sequences are
+// remembered as applied or not (one bit each).
+const dedupAppliedSpan = 64
+
+// Do is the exactly-once gate for one mutating frame. A sequence already
+// applied is answered from its recorded reply; a sequence never applied
+// runs exec exactly once and is recorded; and a sequence whose history is
+// gone is REFUSED — (0, false), the caller drops the frame unanswered as
+// it would a violation — never executed on a guess. History is gone in
+// two ways: the reply of an applied sequence was overwritten (Window
+// newer frames of its residue class later), or the applied bits of its
+// block were (64 × Window sequences later).
+//
+// Both rings only ever replace a position's occupant with a NEWER one
+// of the same residue class, so what a position holds decides the case
+// exactly, under any arrival order: the same block with the bit set —
+// applied; an older block, or the same block with the bit clear — never
+// applied (applying it would have left the bit, or a newer block,
+// behind); a newer block — unknown. The two horizons differ on purpose.
+// A pooled client's flights share one id and one sequence source, so a
+// frame held up for a few tens of milliseconds — a lost packet's
+// retransmit, a descheduled worker — can land thousands of sequences
+// behind its siblings without ever having been applied; refusing it
+// would fail its operation for good (every retry re-sends the same
+// sequence), so whether-applied is kept at a bit a sequence, 64 windows
+// deep, and only replies are kept at Window.
+//
+// The lock spans lookup and execution so a retry racing the original
+// frame (same client, two connections or two datagrams) cannot
+// double-apply; exec is a single atomic word operation, so serializing
+// a client's frames per shard here costs lock-handoff nanoseconds
+// against microsecond round trips.
 func (e *DedupEntry) Do(seq uint64, exec func() (int64, bool)) (int64, bool) {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if v, ok := e.replies[seq]; ok {
-		e.tab.replays.Add(1)
-		return v, true
+	win := uint64(e.win)
+	i, blk, bit := int(seq%win), seq/64, uint64(1)<<(seq%64)
+	b := int(blk % win)
+	if b < len(e.applied) {
+		switch a := e.applied[b]; {
+		case a.blk > blk:
+			return 0, false
+		case a.blk == blk && a.bits&bit != 0:
+			if i < len(e.ring) && e.ring[i].seq == seq {
+				e.tab.replays.Add(1)
+				return e.ring[i].val, true
+			}
+			return 0, false
+		}
 	}
 	v, ok := exec()
 	if !ok {
 		return 0, false
 	}
-	if len(e.order) == e.win {
-		delete(e.replies, e.order[e.head])
-		e.order[e.head] = seq
-		e.head = (e.head + 1) % e.win
-	} else {
-		e.order = append(e.order, seq)
-		e.tab.records.Add(1)
+	for len(e.applied) <= b {
+		e.applied = append(e.applied, dedupBlock{})
 	}
-	e.replies[seq] = v
+	if a := &e.applied[b]; a.blk < blk {
+		*a = dedupBlock{blk: blk, bits: bit}
+	} else {
+		a.bits |= bit
+	}
+	for len(e.ring) <= i {
+		e.ring = append(e.ring, dedupSlot{})
+	}
+	if sl := &e.ring[i]; !sl.used || sl.seq < seq {
+		if !sl.used {
+			e.used++
+			e.tab.records.Add(1)
+		}
+		*sl = dedupSlot{seq: seq, val: v, used: true}
+	}
 	return v, true
 }
 
@@ -193,13 +262,13 @@ func (d *Dedup) Bind(id uint64) *DedupEntry {
 				// refs == 0 under the table mutex means no Do is running
 				// (Do only happens between Bind and Release), so the
 				// window length is stable here.
-				d.records.Add(-int64(len(e.replies)))
+				d.records.Add(-int64(e.used))
 				d.evictions.Add(1)
 			}
 			break
 		}
 	}
-	e := &DedupEntry{id: id, tab: d, refs: 1, lastBind: now, win: d.cfg.Window, replies: make(map[uint64]int64)}
+	e := &DedupEntry{id: id, tab: d, refs: 1, lastBind: now, win: d.cfg.Window}
 	d.clients[id] = d.lru.PushFront(e)
 	return e
 }
@@ -230,7 +299,7 @@ func (d *Dedup) expireLocked(now time.Time) {
 		delete(d.clients, e.id)
 		// refs == 0 under the table mutex means no Do is running, so
 		// the window length is stable here.
-		d.records.Add(-int64(len(e.replies)))
+		d.records.Add(-int64(e.used))
 		d.expirations.Add(1)
 	}
 }

@@ -114,7 +114,7 @@ const (
 	HelpClientRetransmits   = "Request datagrams that were retransmissions; a rising rate means loss or an unresponsive shard (UDP only)."
 
 	MetricClientPipelineDepth = "countnet_client_pipeline_depth"
-	HelpClientPipelineDepth   = "Configured per-socket window of outstanding request datagrams; 1 is stop-and-wait (UDP only)."
+	HelpClientPipelineDepth   = "Configured per-socket window of outstanding request datagrams; every depth runs the same engine and sends the same packets (UDP only)."
 
 	MetricClientOutstanding = "countnet_client_outstanding_packets"
 	HelpClientOutstanding   = "Request datagrams currently in flight (sent, not yet matched to a response) across the counter's pooled sessions (UDP only)."

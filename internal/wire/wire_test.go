@@ -6,38 +6,117 @@ import (
 	"time"
 )
 
-// A dedup entry replays recorded replies for already-applied sequences
-// and evicts FIFO past its window.
-func TestDedupWindowReplayAndEviction(t *testing.T) {
-	d := NewDedup(DedupConfig{Window: 4, Clients: 2})
+// The exactly-once window, socket-free, at Window=4 (replies kept for 4
+// sequences of history per residue class, applied bits for 4 blocks of
+// 64 = 256 sequences). Each step offers one sequence number and states
+// what must happen: exec (run once, reply recorded), replay (answered
+// from the record, exec NOT run) or refuse (dropped, exec NOT run). A
+// sequence is never executed twice, whatever order the frames arrive in.
+func TestDedupWindow(t *testing.T) {
+	const (
+		exec = iota
+		replay
+		refuse
+	)
+	type step struct {
+		seq  uint64
+		want int
+	}
+	for _, tc := range []struct {
+		name    string
+		steps   []step
+		records int64
+	}{
+		{"in-order", []step{
+			{1, exec}, {2, exec}, {3, exec}, {4, exec},
+			{1, replay}, {2, replay}, {3, replay}, {4, replay},
+			{5, exec},   // takes over seq 1's slot
+			{1, refuse}, // applied, reply gone: a duplicate after eviction is not re-run
+			{5, replay}, {2, replay}, {3, replay}, {4, replay},
+		}, 4},
+		{"reversed", []step{
+			{8, exec}, {7, exec}, {6, exec}, {5, exec},
+			// Late by a whole window but never applied: run, once. Their
+			// slots belong to 8..5, so their replies are not kept.
+			{4, exec}, {3, exec}, {2, exec}, {1, exec},
+			{8, replay}, {7, replay}, {6, replay}, {5, replay},
+			{4, refuse}, {3, refuse}, {2, refuse}, {1, refuse},
+		}, 4},
+		{"interleaved", []step{
+			{1, exec}, {5, exec}, {3, exec},
+			{1, refuse}, // 5 took its slot
+			{2, exec},
+			{9, exec}, // takes the slot over from 5
+			{5, refuse}, {9, replay}, {3, replay}, {2, replay},
+			{1, refuse}, // still never again
+		}, 3},
+		{"late-first-send", []step{
+			{200, exec},
+			{21, exec}, // 179 sequences late, never applied: run, and slot 1 is free
+			{21, replay},
+			{20, exec},   // same, but 200 holds slot 0
+			{20, refuse}, // so its duplicate cannot be answered
+			{200, replay},
+		}, 2},
+		{"beyond-the-applied-bits", []step{
+			{10, exec},
+			{266, exec},  // block 4 takes block 0's position
+			{10, refuse}, // applied once, now unknowable
+			{11, refuse}, // never applied, equally unknowable: not run on a guess
+			{266, replay},
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDedup(DedupConfig{Window: 4, Clients: 2})
+			e := d.Bind(1)
+			defer d.Release(e)
+			execs := 0
+			for n, st := range tc.steps {
+				before := execs
+				v, ok := e.Do(st.seq, func() (int64, bool) { execs++; return int64(st.seq * 10), true })
+				ran := execs - before
+				switch st.want {
+				case exec:
+					if !ok || ran != 1 || v != int64(st.seq*10) {
+						t.Fatalf("step %d seq %d: (%d, %v) after %d runs, want one run", n, st.seq, v, ok, ran)
+					}
+				case replay:
+					if !ok || ran != 0 || v != int64(st.seq*10) {
+						t.Fatalf("step %d seq %d: (%d, %v) after %d runs, want the recorded reply and no run", n, st.seq, v, ok, ran)
+					}
+				case refuse:
+					if ok || ran != 0 {
+						t.Fatalf("step %d seq %d: (%d, %v) after %d runs, want refused and no run", n, st.seq, v, ok, ran)
+					}
+				}
+			}
+			if got := d.Stats().Records; got != tc.records {
+				t.Fatalf("records gauge = %d, want %d occupied slots", got, tc.records)
+			}
+		})
+	}
+}
+
+// Binding a client reserves nothing: the window's rings grow with the
+// sequence numbers actually seen, and a recorded frame allocates only
+// when it extends them.
+func TestDedupWindowGrowsLazily(t *testing.T) {
+	d := NewDedup(DedupConfig{})
 	e := d.Bind(1)
-	execs := 0
-	exec := func(v int64) func() (int64, bool) {
-		return func() (int64, bool) { execs++; return v, true }
+	defer d.Release(e)
+	if len(e.ring) != 0 || len(e.applied) != 0 {
+		t.Fatalf("fresh entry holds %d slots and %d blocks", len(e.ring), len(e.applied))
 	}
-	for seq := uint64(1); seq <= 4; seq++ {
-		if v, ok := e.Do(seq, exec(int64(seq*10))); !ok || v != int64(seq*10) {
-			t.Fatalf("seq %d: (%d, %v)", seq, v, ok)
-		}
+	run := func() (int64, bool) { return 7, true }
+	for seq := uint64(1); seq <= 100; seq++ {
+		e.Do(seq, run)
 	}
-	// Replay: no extra executions, recorded replies come back.
-	for seq := uint64(1); seq <= 4; seq++ {
-		if v, ok := e.Do(seq, exec(-1)); !ok || v != int64(seq*10) {
-			t.Fatalf("replay seq %d: (%d, %v)", seq, v, ok)
-		}
+	if len(e.ring) != 101 || len(e.applied) != 2 {
+		t.Fatalf("after seqs 1..100: %d slots and %d blocks, want 101 and 2", len(e.ring), len(e.applied))
 	}
-	if execs != 4 {
-		t.Fatalf("execs = %d, want 4", execs)
-	}
-	// Push past the window: seq 1 falls out FIFO and re-executes.
-	if _, ok := e.Do(5, exec(50)); !ok {
-		t.Fatal("seq 5 failed")
-	}
-	if v, _ := e.Do(1, exec(-7)); v != -7 {
-		t.Fatalf("evicted seq re-ran with %d, want -7", v)
-	}
-	if execs != 6 {
-		t.Fatalf("execs = %d, want 6", execs)
+	seq := uint64(100)
+	if n := testing.AllocsPerRun(100, func() { e.Do(seq, run); seq-- }); n != 0 {
+		t.Fatalf("replaying inside the grown window allocates %.0f per frame", n)
 	}
 }
 
