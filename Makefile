@@ -1,7 +1,19 @@
-# Local mirror of .github/workflows/ci.yml — run `make check` before
-# pushing and you have run exactly what CI runs.
+# Every gate is declared here, once: .github/workflows/ci.yml runs these
+# targets and restates none of their commands, so `make check` before
+# pushing is exactly what CI runs.
 
 GO ?= go
+
+# pinned,<regex>,<packages>,<kinds>: fail unless every alternative of a
+# name-pinning regex matches at least one existing test of those kinds.
+# `go test -run 'A|B'` exits 0 when B matches nothing, so without this
+# check renaming a pinned test would silently drop its gate.
+define pinned
+@names="$$($(GO) test -list '$(1)' $(2) | grep -E '^($(3))')"; \
+for pat in $$(echo '$(1)' | tr '|' ' '); do \
+	echo "$$names" | grep -q "$$pat" || { echo "pinned gate '$$pat' matches no test in $(2)" >&2; exit 1; }; \
+done
+endef
 
 .PHONY: check build vet fmt lint test race resilience conformance bench-smoke bench-record bench-test bench fuzz docs-check
 
@@ -13,7 +25,6 @@ build:
 # Both build-tag variants of udpnet's batched-syscall files are vetted:
 # the default build resolves the recvmmsg/sendmmsg fast path, the
 # countnet_nommsg build resolves the portable single-syscall fallback.
-# Keep in lockstep with .github/workflows/ci.yml.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags countnet_nommsg ./...
@@ -25,10 +36,8 @@ fmt:
 	fi
 
 # The project's own analyzers (cmd/countlint): spin-loop hygiene,
-# atomics-only field access, Makefile↔ci.yml gate lockstep, build-tag
-# pairing, errors.Is on the xport sentinel, and metric-name
-# conventions. Keep the invocation identical to the ci.yml lint step —
-# the lockstep analyzer checks that it is.
+# atomics-only field access, build-tag pairing, errors.Is on the xport
+# sentinel, and metric-name conventions.
 lint:
 	$(GO) run ./cmd/countlint ./...
 
@@ -39,8 +48,8 @@ race:
 	$(GO) test -race -short -timeout 10m ./...
 
 # The exactly-once gates pinned BY NAME (a rename can't silently drop
-# them): the tcpnet retry/dedup regressions, the session-kill chaos
-# grid, the checkout health probe, Close racing a retry, the v1/v2
+# them — see `pinned`): the tcpnet retry/dedup regressions, the
+# session-kill chaos grid, the checkout health probe, Close racing a retry, the v1/v2
 # codec distinction, the shared wire codec/packet fuzz seeds, and the
 # udpnet loss/dup/reorder chaos grid with its retransmit and
 # replay-not-reexecute regressions, and the control-plane gates (the
@@ -54,26 +63,31 @@ race:
 # scraper-vs-writers race consistency check, the Prometheus histogram
 # exposition format, the bounded flight ring, and the
 # zero-added-frames latency gate replaying E31's exact bill on every
-# transport). Keep this regex in lockstep with
-# .github/workflows/ci.yml.
+# frame-speaking transport).
+RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged
+RESILIENCE_PKGS := ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance
+
 resilience:
-	$(GO) test -race -run 'TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged' ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance
+	$(call pinned,$(RESILIENCE),$(RESILIENCE_PKGS),Test|Fuzz)
+	$(GO) test -race -run '$(RESILIENCE)' $(RESILIENCE_PKGS)
 
 # The transport conformance suite pinned BY NAME, run under the race
 # detector: one behavioural contract — chaos exact-count grids,
 # deterministic retry/replay, shared Close semantics, drain health
 # flips, integer-identical frame bills, single-source retry defaults —
 # executed against every transport on the xport seam (tcp, udp,
-# inproc). A new transport passes this suite or it does not ship. Keep
-# the regex in lockstep with .github/workflows/ci.yml.
+# inproc, dist). A new transport passes this suite or it does not ship.
+CONFORMANCE := TestConformance|TestTransportFrameBillEquality|TestRetryDefaultsSingleSource
+
 conformance:
-	$(GO) test -race -count=1 -run 'TestConformance|TestTransportFrameBillEquality|TestRetryDefaultsSingleSource' ./internal/conformance
+	$(call pinned,$(CONFORMANCE),./internal/conformance,Test)
+	$(GO) test -race -count=1 -run '$(CONFORMANCE)' ./internal/conformance
 
 # Covers every package, the distributed benchmarks in internal/distnet,
 # internal/tcpnet and internal/udpnet (batched protocol, E25) included;
 # the second pass pins the sharded-deployment (E26), dedup-enabled (E27)
 # and UDP-transport (E28) benchmarks by name so a rename can't silently
-# drop them, and the third pins the raw-speed-path allocation gates
+# drop them (see `pinned`), and the third pins the raw-speed-path allocation gates
 # (E30): BenchmarkUDPShardWorkers and BenchmarkUDPPipelinedBatch carry
 # the ReportAllocs zero-allocation claim, and the fourth pins
 # BenchmarkHistogramObserve, whose ReportAllocs carries the
@@ -83,15 +97,22 @@ conformance:
 # across tcp/udp/inproc, E32); their envelopes go to a scratch
 # directory (git-ignored, inside the checkout) — a smoke run is one
 # noisy sample and must not touch the committed records (`make
-# bench-record` does that). Keep in lockstep with
-# .github/workflows/ci.yml.
+# bench-record` does that); CI points BENCH_OUT at its runner's temp
+# directory.
 BENCH_OUT ?= .bench_build/smoke
+BENCH_FLEETS := Sharded|Dedup|UDP
+BENCH_FLEETS_PKGS := ./internal/distnet ./internal/tcpnet ./internal/udpnet
+BENCH_UDP_ALLOCS := BenchmarkUDPShardWorkers|BenchmarkUDPPipelinedBatch
+BENCH_HIST_ALLOCS := BenchmarkHistogramObserve
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -bench='Sharded|Dedup|UDP' -benchtime=1x -run='^$$' ./internal/distnet ./internal/tcpnet ./internal/udpnet
-	$(GO) test -bench='BenchmarkUDPShardWorkers|BenchmarkUDPPipelinedBatch' -benchtime=1x -run='^$$' ./internal/udpnet
-	$(GO) test -bench='BenchmarkHistogramObserve' -benchtime=1x -run='^$$' ./internal/ctlplane
+	$(call pinned,$(BENCH_FLEETS),$(BENCH_FLEETS_PKGS),Benchmark)
+	$(GO) test -bench='$(BENCH_FLEETS)' -benchtime=1x -run='^$$' $(BENCH_FLEETS_PKGS)
+	$(call pinned,$(BENCH_UDP_ALLOCS),./internal/udpnet,Benchmark)
+	$(GO) test -bench='$(BENCH_UDP_ALLOCS)' -benchtime=1x -run='^$$' ./internal/udpnet
+	$(call pinned,$(BENCH_HIST_ALLOCS),./internal/ctlplane,Benchmark)
+	$(GO) test -bench='$(BENCH_HIST_ALLOCS)' -benchtime=1x -run='^$$' ./internal/ctlplane
 	mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/countbench -exp udpspeed -out $(BENCH_OUT)/BENCH_udp.json
 	$(GO) run ./cmd/countbench -exp transports -out $(BENCH_OUT)/BENCH_transports.json
@@ -110,8 +131,7 @@ bench-record:
 # module's ./... does not reach): vet it and run the harness's own
 # tests — estimators, histogram, the BENCHMARK.json-vs-binary contract —
 # against this checkout's internal packages. It does not run the
-# benchmark; `bash bench/run.sh` does. Keep in lockstep with
-# .github/workflows/ci.yml.
+# benchmark; `bash bench/run.sh` does.
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
 

@@ -339,8 +339,10 @@ func BenchmarkDistributedCounter(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			net := mustNet(b, c.family, c.p)
-			ctr := NewDistributedCounter(net, DistributedConfig{LinkBuffer: 4})
-			defer ctr.Stop()
+			cl := StartDistributedCluster(net, DistributedConfig{LinkBuffer: 4})
+			defer cl.Stop()
+			ctr := cl.NewCounter()
+			defer ctr.Close()
 			var pids atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

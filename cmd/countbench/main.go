@@ -124,11 +124,11 @@ func main() {
 	f()
 }
 
-func must(n *network.Network, err error) *network.Network {
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return n
+	return v
 }
 
 func log2(x int) int {
@@ -358,19 +358,25 @@ func expDist(ops int) {
 	for _, g := range []int{1, 4, 16} {
 		row := []any{g}
 		for _, mk := range nets {
-			c := distnet.NewCounter(mk(), distnet.Config{LinkBuffer: 4})
-			row = append(row, fmt.Sprintf("%.0f", throughput(distAdapter{c}, g, ops)))
-			c.Stop()
+			cl := distnet.NewCluster(mk(), distnet.Config{LinkBuffer: 4})
+			c := cl.NewCounter()
+			row = append(row, fmt.Sprintf("%.0f", throughput(distAdapter{c, "dist:" + cl.Topology()}, g, ops)))
+			c.Close()
+			cl.Stop()
 		}
 		tb.AddRowf(row...)
 	}
 	fmt.Print(tb.String())
 }
 
-type distAdapter struct{ c *distnet.Counter }
+type distAdapter struct {
+	c    *distnet.Counter
+	name string
+}
 
-func (d distAdapter) Inc(pid int) int64 { return d.c.Inc(pid) }
-func (d distAdapter) Name() string      { return d.c.Name() }
+// Inc: the message-passing link cannot fail, so an error is a bug here.
+func (d distAdapter) Inc(pid int) int64 { return must(d.c.Inc(pid)) }
+func (d distAdapter) Name() string      { return d.name }
 
 // E25: messages (distnet) and TCP round trips (tcpnet) per token under
 // the batched protocol, as the batch size grows. Counts are exact and
@@ -382,33 +388,31 @@ func expDistbatch() {
 		w, t, must(core.New(w, t)).Depth())
 	tb := stats.NewTable("k", "distnet msgs/token", "tcpnet rpcs/token", "single-token floor")
 	for _, k := range []int{1, 8, 64, 512} {
-		// distnet: wavefront messages, counted at the links.
-		net := must(core.New(w, t))
-		sys := distnet.Start(net, distnet.Config{LinkBuffer: 4})
-		for i := 0; i < batches; i++ {
-			sys.InjectBatch(i%w, int64(k))
-		}
-		msgs := float64(sys.Messages()) / float64(batches*k)
-		sys.Stop()
-
-		// tcpnet: STEPN/CELLN round trips, counted at the client.
+		// distnet: wavefront messages, billed to the client session that
+		// injected them.
 		topo := must(core.New(w, t))
-		addrs := make([]string, shards)
-		var servers []*tcpnet.Shard
-		for i := 0; i < shards; i++ {
-			s, err := tcpnet.StartShard("127.0.0.1:0", topo, i, shards)
-			if err != nil {
+		dist := distnet.NewCluster(topo, distnet.Config{LinkBuffer: 4})
+		dctr := dist.NewCounterPool(1)
+		var vals []int64
+		var err error
+		for i := 0; i < batches; i++ {
+			if vals, err = dctr.IncBatch(i, k, vals[:0]); err != nil {
 				panic(err)
 			}
-			servers = append(servers, s)
-			addrs[i] = s.Addr()
 		}
-		cluster := tcpnet.NewCluster(topo, addrs)
+		msgs := float64(dctr.RPCs()) / float64(batches*k)
+		dctr.Close()
+		dist.Stop()
+
+		// tcpnet: STEPN/CELLN round trips, counted at the client.
+		cluster, stop, err := tcpnet.StartCluster(topo, shards)
+		if err != nil {
+			panic(err)
+		}
 		sess, err := cluster.NewSession()
 		if err != nil {
 			panic(err)
 		}
-		var vals []int64
 		for i := 0; i < batches; i++ {
 			vals, err = sess.IncBatch(i, k, vals[:0])
 			if err != nil {
@@ -417,9 +421,7 @@ func expDistbatch() {
 		}
 		rpcs := float64(sess.RPCs()) / float64(batches*k)
 		sess.Close()
-		for _, s := range servers {
-			s.Close()
-		}
+		stop()
 		tb.AddRowf(k, fmt.Sprintf("%.2f", msgs), fmt.Sprintf("%.2f", rpcs),
 			fmt.Sprintf("%d / %d", topo.Depth(), cluster.Hops()))
 	}
@@ -451,28 +453,24 @@ func expDistshard(maxS int) {
 	for _, S := range Ss {
 		// Batched pipelines, striped by pid: exact aggregate message and
 		// round-trip bills per token.
-		dsc, err := distnet.NewSharded(S, func() (*network.Network, error) {
-			return core.New(w, t)
-		}, distnet.Config{LinkBuffer: 4})
-		if err != nil {
-			panic(err)
-		}
-		var vals []int64
-		for i := 0; i < batches; i++ {
-			vals = dsc.IncBatch(i, k, vals[:0])
-		}
-		if got := dsc.Read(); got != int64(batches*k) {
-			panic(fmt.Sprintf("distnet S=%d: Read %d != %d", S, got, batches*k))
-		}
-		dMsgs := float64(dsc.Messages()) / float64(batches*k)
-		dsc.Stop()
-
 		topo := must(core.New(w, t))
-		tsc, stop, err := tcpnet.StartShardedCluster(topo, S, 3)
-		if err != nil {
-			panic(err)
+		dctr, stop := distFleet(topo, S, distnet.Config{LinkBuffer: 4})
+		var vals []int64
+		var err error
+		for i := 0; i < batches; i++ {
+			if vals, err = dctr.IncBatch(i, k, vals[:0]); err != nil {
+				panic(err)
+			}
 		}
-		tctr := tsc.NewCounter(1)
+		// The dist Read sums the exit cells locally: no messages to
+		// subtract from the bill.
+		if got, err := dctr.Read(); err != nil || got != int64(batches*k) {
+			panic(fmt.Sprintf("distnet S=%d: Read (%d, %v) != %d", S, got, err, batches*k))
+		}
+		dMsgs := float64(dctr.RPCs()) / float64(batches*k)
+		stop()
+
+		tctr, stop := tcpFleet(topo, S, 1)
 		for i := 0; i < batches; i++ {
 			if vals, err = tctr.IncBatch(i, k, vals[:0]); err != nil {
 				panic(err)
@@ -485,7 +483,6 @@ func expDistshard(maxS int) {
 		// The Read side costs OutWidth READ rpcs per stripe; keep the
 		// batched column pure by subtracting it.
 		tRPCs -= float64(S*topo.OutWidth()) / float64(batches*k)
-		tctr.Close()
 		stop()
 
 		// Coalesced single-token workloads (no explicit batching): exact
@@ -499,42 +496,52 @@ func expDistshard(maxS int) {
 	fmt.Println("\n(E25 single-deployment floors at k=64: 0.67 msgs/token distnet, 1.05 rpcs/token tcpnet)")
 }
 
-// distshardCoalesced drives a concurrent Inc workload against a sharded
-// distnet fleet and returns exact msgs/op (hop latency opens windows).
-func distshardCoalesced(S, w, t int) float64 {
-	sc, err := distnet.NewSharded(S, func() (*network.Network, error) {
-		return core.New(w, t)
-	}, distnet.Config{LinkBuffer: 4, HopLatency: 50 * time.Microsecond})
+// startFleet starts S deployments and stripes them; stop closes the
+// fleet's counters, then the deployments under them.
+func startFleet[D xport.Deployment](S, poolWidth int, start func() (D, func(), error)) (*xport.ShardedCounter, func()) {
+	stripes, stop, err := xport.StartStripes(S, start)
 	if err != nil {
 		panic(err)
 	}
-	defer sc.Stop()
-	const procs, per = 32, 25
-	var wg sync.WaitGroup
-	for pid := 0; pid < procs; pid++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				sc.Inc(pid)
-			}
-		}(pid)
-	}
-	wg.Wait()
-	return float64(sc.Messages()) / float64(procs*per)
+	ctr := must(xport.NewFleet(stripes, poolWidth))
+	return ctr, func() { ctr.Close(); stop() }
 }
 
-// tcpshardCoalesced drives a concurrent Inc workload against a sharded
-// TCP fleet and returns exact rpcs/op.
-func tcpshardCoalesced(S, w, t int) float64 {
-	topo := must(core.New(w, t))
-	sc, stop, err := tcpnet.StartShardedCluster(topo, S, 3)
-	if err != nil {
-		panic(err)
-	}
+// distFleet stripes S message-passing deployments of topo.
+func distFleet(topo *network.Network, S int, cfg distnet.Config) (*xport.ShardedCounter, func()) {
+	return startFleet(S, 0, func() (*distnet.Cluster, func(), error) {
+		cl := distnet.NewCluster(topo, cfg)
+		return cl, cl.Stop, nil
+	})
+}
+
+// tcpFleet stripes S loopback TCP deployments of topo, 3 shards each.
+func tcpFleet(topo *network.Network, S, poolWidth int) (*xport.ShardedCounter, func()) {
+	return startFleet(S, poolWidth, func() (*tcpnet.Cluster, func(), error) {
+		return tcpnet.StartCluster(topo, 3)
+	})
+}
+
+// distshardCoalesced drives a concurrent Inc workload against a sharded
+// distnet fleet and returns msgs/op (hop latency opens windows).
+func distshardCoalesced(S, w, t int) float64 {
+	ctr, stop := distFleet(must(core.New(w, t)), S,
+		distnet.Config{LinkBuffer: 4, HopLatency: 50 * time.Microsecond})
 	defer stop()
-	ctr := sc.NewCounter(0)
-	defer ctr.Close()
+	return coalescedPerOp(ctr)
+}
+
+// tcpshardCoalesced drives the same workload against a sharded TCP fleet
+// and returns rpcs/op.
+func tcpshardCoalesced(S, w, t int) float64 {
+	ctr, stop := tcpFleet(must(core.New(w, t)), S, 0)
+	defer stop()
+	return coalescedPerOp(ctr)
+}
+
+// coalescedPerOp runs 32 concurrent single-token callers against a fleet
+// and returns its bill per operation.
+func coalescedPerOp(ctr *xport.ShardedCounter) float64 {
 	const procs, per = 32, 25
 	var wg sync.WaitGroup
 	for pid := 0; pid < procs; pid++ {
@@ -604,22 +611,11 @@ func expDedup() {
 // count, and returns rpcs/token (read-side RPCs excluded).
 func dedupRun(w, t, shards, batches, k int, kill bool) float64 {
 	topo := must(core.New(w, t))
-	addrs := make([]string, shards)
-	var servers []*tcpnet.Shard
-	for i := 0; i < shards; i++ {
-		s, err := tcpnet.StartShard("127.0.0.1:0", topo, i, shards)
-		if err != nil {
-			panic(err)
-		}
-		servers = append(servers, s)
-		addrs[i] = s.Addr()
+	cluster, stop, err := tcpnet.StartCluster(topo, shards)
+	if err != nil {
+		panic(err)
 	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	cluster := tcpnet.NewCluster(topo, addrs)
+	defer stop()
 	if kill {
 		var conns int32
 		cluster.SetDialWrapper(func(conn net.Conn) net.Conn {
@@ -634,7 +630,6 @@ func dedupRun(w, t, shards, batches, k int, kill bool) float64 {
 	ctr := cluster.NewCounterPool(1)
 	defer ctr.Close()
 	var vals []int64
-	var err error
 	for i := 0; i < batches; i++ {
 		if vals, err = ctr.IncBatch(i, k, vals[:0]); err != nil {
 			panic(fmt.Sprintf("E27 k=%d kill=%v: %v", k, kill, err))
@@ -1139,22 +1134,11 @@ type transportBoot struct {
 func transportBoots(topo *network.Network, shards int) []transportBoot {
 	return []transportBoot{
 		{"tcp", func() (*xport.Counter, func()) {
-			addrs := make([]string, shards)
-			var servers []*tcpnet.Shard
-			for i := 0; i < shards; i++ {
-				s, err := tcpnet.StartShard("127.0.0.1:0", topo, i, shards)
-				if err != nil {
-					panic(err)
-				}
-				servers = append(servers, s)
-				addrs[i] = s.Addr()
+			cluster, stop, err := tcpnet.StartCluster(topo, shards)
+			if err != nil {
+				panic(err)
 			}
-			ctr := tcpnet.NewCluster(topo, addrs).NewCounterPool(1)
-			return ctr, func() {
-				for _, s := range servers {
-					s.Close()
-				}
-			}
+			return cluster.NewCounterPool(1), stop
 		}},
 		{"udp", func() (*xport.Counter, func()) {
 			cluster, stop, err := udpnet.StartCluster(topo, shards)

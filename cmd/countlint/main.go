@@ -1,11 +1,11 @@
-// Command countlint is the repository's static-analysis gate: six
+// Command countlint is the repository's static-analysis gate: five
 // dependency-free analyzers (stdlib go/ast + go/types, no x/tools)
 // that mechanize the invariants the tree previously kept by reviewer
 // discipline — no unyielded spin loops, atomics-only access to fields
-// touched by sync/atomic, Makefile ↔ ci.yml pinned-gate lockstep,
-// paired build-tag fallbacks, the single xport.ErrClosed sentinel
-// compared only with errors.Is, and Prometheus metric naming synced
-// with ctlplanedoc's healthy-range catalogue.
+// touched by sync/atomic, paired build-tag fallbacks, the single
+// xport.ErrClosed sentinel compared only with errors.Is, and
+// Prometheus metric naming synced with ctlplanedoc's healthy-range
+// catalogue.
 //
 // Usage:
 //

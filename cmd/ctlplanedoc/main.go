@@ -53,7 +53,7 @@ var healthy = map[string]string{
 	"countnet_dedup_oldest_idle_seconds":      "≤ max_idle with age expiry on; unbounded growth with it off = departed clients pile up",
 	"countnet_dedup_max_idle_seconds":         "= configured age-expiry bound (constant); 0 = age expiry disabled",
 	"countnet_dedup_client_expirations_total": "≈0 with a stable client set; growth = abandoned client ids reclaimed",
-	"countnet_client_rpcs_total":              "≈1.05 per token at k=64 (E25-E28)",
+	"countnet_client_rpcs_total":              "≈1.05 per token at k=64 (E25-E28); dist: 0.67 link messages",
 	"countnet_client_flights_total":           "= operations issued (one per batch/window)",
 	"countnet_client_flight_retries_total":    "0 on a healthy network; growth = sessions dying mid-flight",
 	"countnet_client_inflight":                "≤ concurrent callers; 0 when quiescent",
@@ -67,7 +67,6 @@ var healthy = map[string]string{
 	"countnet_client_retransmits_total":       "0 on a clean network; rate tracks packet loss",
 	"countnet_client_pipeline_depth":          "= configured depth (constant); 1 by default",
 	"countnet_client_outstanding_packets":     "≤ depth × shards × sessions; 0 when quiescent",
-	"countnet_client_msgs_total":              "≈4.4 per token batched (E25); 2(d+1) unbatched",
 	"countnet_client_flight_seconds":          "p99 ≈ one RTT × pipeline depth; spikes track retries (see OPERATIONS.md triage)",
 	"countnet_client_attempt_seconds":         "≈ one wire RTT; ≪ flight_seconds unless retries are zero",
 	"countnet_client_coalesce_wait_seconds":   "≤ one flight; grows with window size under concurrency",
@@ -136,13 +135,11 @@ func main() {
 	ictr.Close()
 	istop()
 
-	dtopo, err := core.New(4, 8)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	dctr := distnet.NewCounter(dtopo, distnet.Config{})
+	dc := distnet.NewCluster(topo, distnet.Config{})
+	dctr := dc.NewCounter()
 	merge(dctr.Gather())
-	dctr.Stop()
+	dctr.Close()
+	dc.Stop()
 
 	names := make([]string, 0, len(rows))
 	for name := range rows {

@@ -34,24 +34,25 @@
 //   - Quiescent-state verification (counting / k-smoothing / difference
 //     merging properties).
 //   - The Section 7 byproduct: balancing networks as sorting networks.
-//   - A message-passing emulation and TCP- and UDP-sharded deployments, all
-//     speaking a batched message protocol (one message per balancer
-//     touched per batch) with client-side coalescing of concurrent
-//     callers into shared flights, composable into pid-striped fleets of
-//     S independent deployments (ShardedDistributedCounter,
-//     TCPShardedCluster) whose TCP wires run from pooled, self-healing
-//     sessions: health-probed at checkout, failed connections evicted
-//     pool-wide, and flights retried EXACTLY-ONCE under a bounded
-//     budget via seq-numbered idempotent frames (protocol v2). The UDP
-//     transport (UDPCluster) turns that same machinery into a full
-//     reliability layer: frames packed into MTU-budgeted datagrams,
-//     jittered retransmit timers, and per-client dedup windows making
-//     every mutating op exactly-once under packet loss, duplication
-//     and reordering. The whole client stack — coalescing, pooling,
+//   - A message-passing emulation (DistributedCluster) and TCP- and
+//     UDP-sharded deployments, all speaking a batched message protocol
+//     (one message per balancer touched per batch) with client-side
+//     coalescing of concurrent callers into shared flights, and any list
+//     of deployments of one kind composable into a pid-striped fleet
+//     (NewFleet). TCP wires run from pooled, self-healing sessions:
+//     health-probed at checkout, failed connections evicted pool-wide,
+//     and flights retried EXACTLY-ONCE under a bounded budget via
+//     seq-numbered idempotent frames (protocol v2). The UDP transport
+//     (UDPCluster) turns that same machinery into a full reliability
+//     layer: frames packed into MTU-budgeted datagrams, jittered
+//     retransmit timers, and per-client dedup windows making every
+//     mutating op exactly-once under packet loss, duplication and
+//     reordering. The whole client stack — coalescing, pooling,
 //     tape-driven retries, striping — is ONE implementation behind a
-//     transport seam; InprocCluster is the dependency-free in-memory
-//     transport on the same seam, with injectable call/reply loss, and
-//     `make conformance` runs the one suite every transport must pass.
+//     transport seam that all four deployments sit on; InprocCluster is
+//     the dependency-free in-memory transport, with injectable
+//     call/reply loss, and `make conformance` runs the one suite every
+//     transport must pass.
 //   - A production control plane (ServeControlPlane, DrainOnSignal):
 //     every shard server, counter client and sharded fleet serves
 //     /health (liveness + quiescence), /status (topology JSON) and
@@ -66,11 +67,11 @@
 //
 // # Contributing
 //
-// Run `make check` before pushing — it mirrors CI exactly, including
-// `make lint`: cmd/countlint, the repository's own static analyzers,
-// which mechanize the tree's hand-audited invariants (spin-loop
-// hygiene, atomics-only field access, Makefile ↔ ci.yml gate
-// lockstep, build-tag pairing, errors.Is on sentinels, metric naming).
+// Run `make check` before pushing — CI runs the same make targets,
+// including `make lint`: cmd/countlint, the repository's own five static
+// analyzers, which mechanize the tree's hand-audited invariants
+// (spin-loop hygiene, atomics-only field access, build-tag pairing,
+// errors.Is on sentinels, metric naming).
 // DESIGN.md §6 documents the analyzers; the waiver policy for
 // `//lint:ignore` is in OPERATIONS.md.
 package countnet
@@ -101,6 +102,7 @@ import (
 	"repro/internal/timesim"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
+	"repro/internal/xport"
 )
 
 // Network is a balancing network: an immutable DAG of balancers with
@@ -400,32 +402,25 @@ func StartDistributed(n *Network, cfg DistributedConfig) *Distributed {
 	return distnet.Start(n, cfg)
 }
 
-// DistributedCounter is a Fetch&Increment / Fetch&Decrement counter over
-// a distributed deployment: concurrent Inc callers on the same input
-// wire coalesce into one in-flight batched message per single-flight
-// window, and IncBatch/DecBatch expose the batch protocol directly.
+// DistributedCluster is a running message-passing deployment plus its
+// exit cells, on the same transport seam as the socket clusters: create
+// counters with its NewCounter / NewCounterPool, stripe several with
+// NewFleet, and Stop it once they are closed.
+type DistributedCluster = distnet.Cluster
+
+// StartDistributedCluster launches the servers and exit cells of a
+// distributed counter deployment of the network.
+func StartDistributedCluster(n *Network, cfg DistributedConfig) *DistributedCluster {
+	return distnet.NewCluster(n, cfg)
+}
+
+// DistributedCounter is the Fetch&Increment / Fetch&Decrement client over
+// a DistributedCluster — the same coalescing client as TCPCounter:
+// concurrent Inc callers on one input wire share a batched flight,
+// IncBatch/DecBatch expose the batch protocol directly, and RPCs is the
+// deployment's link-level message bill. The link cannot fail, so the
+// only error is the closed sentinel after Close.
 type DistributedCounter = distnet.Counter
-
-// NewDistributedCounter starts a Fetch&Increment counter over a
-// distributed deployment of the network.
-func NewDistributedCounter(n *Network, cfg DistributedConfig) *DistributedCounter {
-	return distnet.NewCounter(n, cfg)
-}
-
-// ShardedDistributedCounter stripes Fetch&Increment traffic over S
-// independent distributed deployments by pid hash (the same striping
-// discipline as ShardedCounter): stripe s hands out the residue class
-// v·S + s, so values stay globally unique while the hot links, inboxes
-// and exit cells multiply by S — sharding composed with the batched
-// protocol and per-wire coalescing each stripe already runs. Messages
-// and Read aggregate across stripes.
-type ShardedDistributedCounter = distnet.Sharded
-
-// NewShardedDistributedCounter starts S independent deployments over
-// fresh networks produced by build (called once per stripe).
-func NewShardedDistributedCounter(shards int, build func() (*Network, error), cfg DistributedConfig) (*ShardedDistributedCounter, error) {
-	return distnet.NewSharded(shards, build, cfg)
-}
 
 // Execution tracing (§2.2 executions as transition sequences) ----------------
 
@@ -497,36 +492,6 @@ type TCPCounter = tcpnet.Counter
 // been called, including to callers pooled in a coalescing window.
 var ErrTCPCounterClosed = tcpnet.ErrClosed
 
-// TCPShardedCluster composes S independent TCP deployments into one
-// pid-striped fleet: stripe s maps its values into the residue class
-// v·S + s, and the read side (RPCs, Read) aggregates across stripes.
-type TCPShardedCluster = tcpnet.ShardedCluster
-
-// TCPShardedCounter is the fleet-wide client over a TCPShardedCluster:
-// pid-striped routing to per-stripe pooled coalescing counters. Create
-// with NewShardedClusterCounter.
-type TCPShardedCounter = tcpnet.ShardedCounter
-
-// NewTCPShardedCluster wires S independent deployments (each its own
-// servers for the same topology shape) into one sharded fleet.
-func NewTCPShardedCluster(clusters []*TCPCluster) (*TCPShardedCluster, error) {
-	return tcpnet.NewShardedCluster(clusters)
-}
-
-// StartTCPShardedCluster launches S independent loopback deployments of
-// topo, each across `shards` servers — the test/benchmark harness;
-// production fleets dial real addresses via NewTCPShardedCluster.
-func StartTCPShardedCluster(topo *Network, deployments, shards int) (*TCPShardedCluster, func(), error) {
-	return tcpnet.StartShardedCluster(topo, deployments, shards)
-}
-
-// NewShardedClusterCounter builds the fleet-wide counter: one pooled,
-// self-healing coalescing counter per stripe (poolWidth <= 0 defaults to
-// each stripe's input width).
-func NewShardedClusterCounter(sc *TCPShardedCluster, poolWidth int) *TCPShardedCounter {
-	return sc.NewCounter(poolWidth)
-}
-
 // StartTCPShard launches shard `index` of `shards` for the topology on
 // addr ("host:0" picks a free port). Shard i owns balancers and exit cells
 // with id ≡ i (mod shards); a balancer access is one TCP round trip — the
@@ -538,6 +503,14 @@ func StartTCPShard(addr string, topo *Network, index, shards int) (*TCPShard, er
 // NewTCPCluster wires a topology to its shard addresses.
 func NewTCPCluster(topo *Network, addrs []string) *TCPCluster {
 	return tcpnet.NewCluster(topo, addrs)
+}
+
+// StartTCPCluster launches one loopback deployment of topo across
+// `shards` TCP servers and returns the client cluster plus a stop
+// function — the test/benchmark harness; production deployments dial
+// real addresses via NewTCPCluster.
+func StartTCPCluster(topo *Network, shards int) (*TCPCluster, func(), error) {
+	return tcpnet.StartCluster(topo, shards)
 }
 
 // UDP deployment (datagram transport over the exactly-once wire layer) -------
@@ -579,14 +552,6 @@ var ErrUDPCounterClosed = udpnet.ErrClosed
 // E28 loss-sweep harness.
 type UDPFaults = udpnet.Faults
 
-// UDPShardedCluster composes S independent UDP deployments into one
-// pid-striped fleet, exactly like TCPShardedCluster.
-type UDPShardedCluster = udpnet.ShardedCluster
-
-// UDPShardedCounter is the fleet-wide client over a UDPShardedCluster.
-// Create with NewUDPShardedClusterCounter.
-type UDPShardedCounter = udpnet.ShardedCounter
-
 // StartUDPShard launches shard `index` of `shards` for the topology on
 // addr ("host:0" picks a free port), partitioned exactly like
 // StartTCPShard.
@@ -611,19 +576,6 @@ func StartUDPCluster(topo *Network, shards int) (*UDPCluster, func(), error) {
 // cluster (poolWidth <= 0 defaults to the input width).
 func NewUDPClusterCounter(c *UDPCluster, poolWidth int) *UDPCounter {
 	return c.NewCounterPool(poolWidth)
-}
-
-// StartUDPShardedCluster launches S independent loopback deployments of
-// topo, each across `shards` UDP servers.
-func StartUDPShardedCluster(topo *Network, deployments, shards int) (*UDPShardedCluster, func(), error) {
-	return udpnet.StartShardedCluster(topo, deployments, shards)
-}
-
-// NewUDPShardedClusterCounter builds the fleet-wide counter: one pooled
-// coalescing counter per stripe (poolWidth <= 0 defaults to each
-// stripe's input width).
-func NewUDPShardedClusterCounter(sc *UDPShardedCluster, poolWidth int) *UDPShardedCounter {
-	return sc.NewCounter(poolWidth)
 }
 
 // In-memory deployment (the transport-seam conformance link) ----------------
@@ -665,14 +617,6 @@ var ErrInprocCounterClosed = inproc.ErrClosed
 // client must replay through the dedup window.
 type InprocFaults = inproc.Faults
 
-// InprocShardedCluster composes S independent in-memory deployments
-// into one pid-striped fleet, exactly like TCPShardedCluster.
-type InprocShardedCluster = inproc.ShardedCluster
-
-// InprocShardedCounter is the fleet-wide client over an
-// InprocShardedCluster. Create with NewInprocShardedClusterCounter.
-type InprocShardedCounter = inproc.ShardedCounter
-
 // StartInprocCluster builds one in-memory deployment of topo across
 // `shards` shards and returns the client cluster plus a stop function
 // closing every shard.
@@ -686,17 +630,24 @@ func NewInprocClusterCounter(c *InprocCluster, poolWidth int) *InprocCounter {
 	return c.NewCounterPool(poolWidth)
 }
 
-// StartInprocShardedCluster builds S independent in-memory deployments
-// of topo, each across `shards` shards.
-func StartInprocShardedCluster(topo *Network, deployments, shards int) (*InprocShardedCluster, func(), error) {
-	return inproc.StartShardedCluster(topo, deployments, shards)
-}
+// Fleets --------------------------------------------------------------------
 
-// NewInprocShardedClusterCounter builds the fleet-wide counter: one
-// pooled coalescing counter per stripe (poolWidth <= 0 defaults to
-// each stripe's input width).
-func NewInprocShardedClusterCounter(sc *InprocShardedCluster, poolWidth int) *InprocShardedCounter {
-	return sc.NewCounter(poolWidth)
+// FleetCounter is the fleet-wide client over S independent deployments:
+// a caller is routed by pid hash (the same striping discipline as
+// ShardedCounter) to its stripe's pooled coalescing counter, stripe s
+// hands out the residue class v·S + s so values stay globally unique
+// while the hot links and cells multiply by S, and the read side (RPCs,
+// Packets, Read) aggregates across stripes.
+type FleetCounter = xport.ShardedCounter
+
+// NewFleet composes deployments of one kind and one topology shape —
+// []*TCPCluster, []*UDPCluster, []*InprocCluster or
+// []*DistributedCluster; stripes[i] serves stripe i — into a pid-striped
+// fleet with one pooled counter per stripe (poolWidth <= 0 defaults to
+// each stripe's input width). Close the FleetCounter before stopping the
+// deployments under it.
+func NewFleet[D xport.Deployment](stripes []D, poolWidth int) (*FleetCounter, error) {
+	return xport.NewFleet(stripes, poolWidth)
 }
 
 // Control plane (/health, /status, /metrics; OPERATIONS.md) -----------------

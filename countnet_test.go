@@ -123,11 +123,16 @@ func TestDistributedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewDistributedCounter(n, DistributedConfig{})
-	defer c.Stop()
+	cl := StartDistributedCluster(n, DistributedConfig{})
+	defer cl.Stop()
+	c := cl.NewCounter()
+	defer c.Close()
 	seen := map[int64]bool{}
 	for i := 0; i < 100; i++ {
-		v := c.Inc(i)
+		v, err := c.Inc(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if seen[v] {
 			t.Fatalf("duplicate value %d", v)
 		}
@@ -136,47 +141,67 @@ func TestDistributedFacade(t *testing.T) {
 }
 
 func TestShardedDistributedFacade(t *testing.T) {
-	sc, err := NewShardedDistributedCounter(3, func() (*Network, error) {
-		return NewCWT(4, 8)
-	}, DistributedConfig{LinkBuffer: 2})
+	topo, err := NewCWT(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Stop()
+	clusters := make([]*DistributedCluster, 3)
+	for i := range clusters {
+		clusters[i] = StartDistributedCluster(topo, DistributedConfig{LinkBuffer: 2})
+		defer clusters[i].Stop()
+	}
+	sc, err := NewFleet(clusters, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
 	seen := map[int64]bool{}
 	for i := 0; i < 60; i++ {
-		v := sc.Inc(i)
+		v, err := sc.Inc(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if seen[v] {
 			t.Fatalf("duplicate value %d", v)
 		}
 		seen[v] = true
 	}
-	vals := sc.IncBatch(7, 40, nil)
+	vals, err := sc.IncBatch(7, 40, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range vals {
 		if seen[v] {
 			t.Fatalf("batched duplicate value %d", v)
 		}
 		seen[v] = true
 	}
-	if got := sc.Read(); got != 100 {
-		t.Fatalf("aggregate Read() = %d, want 100", got)
+	if got, err := sc.Read(); err != nil || got != 100 {
+		t.Fatalf("aggregate Read() = (%d, %v), want (100, nil)", got, err)
 	}
-	if sc.Messages() <= 0 {
+	if sc.RPCs() <= 0 {
 		t.Fatal("no messages billed")
 	}
 }
 
-func TestTCPShardedClusterFacade(t *testing.T) {
+func TestTCPFleetFacade(t *testing.T) {
 	topo, err := NewCWT(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, stop, err := StartTCPShardedCluster(topo, 2, 2)
+	clusters := make([]*TCPCluster, 2)
+	for i := range clusters {
+		c, stop, err := StartTCPCluster(topo, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		clusters[i] = c
+	}
+	ctr, err := NewFleet(clusters, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	ctr := NewShardedClusterCounter(sc, 2)
 	seen := map[int64]bool{}
 	for i := 0; i < 50; i++ {
 		v, err := ctr.Inc(i)
@@ -197,17 +222,24 @@ func TestTCPShardedClusterFacade(t *testing.T) {
 	}
 }
 
-func TestUDPShardedClusterFacade(t *testing.T) {
+func TestUDPFleetFacade(t *testing.T) {
 	topo, err := NewCWT(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, stop, err := StartUDPShardedCluster(topo, 2, 2)
+	clusters := make([]*UDPCluster, 2)
+	for i := range clusters {
+		c, stop, err := StartUDPCluster(topo, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		clusters[i] = c
+	}
+	ctr, err := NewFleet(clusters, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	ctr := NewUDPShardedClusterCounter(sc, 2)
 	seen := map[int64]bool{}
 	for i := 0; i < 50; i++ {
 		v, err := ctr.Inc(i)

@@ -31,11 +31,14 @@ func main() {
 	// A small per-hop latency makes the "remote object" cost visible —
 	// and opens the coalescing windows: while one flight is in the
 	// network, later arrivals pool into the next batch.
-	ctr := countnet.NewDistributedCounter(net, countnet.DistributedConfig{
-		LinkBuffer: 4,
-		HopLatency: 100 * time.Microsecond,
-	})
-	defer ctr.Stop()
+	cfg := countnet.DistributedConfig{LinkBuffer: 4, HopLatency: 100 * time.Microsecond}
+	cluster := countnet.StartDistributedCluster(net, cfg)
+	defer cluster.Stop()
+	// The client is the same coalescing counter the TCP and UDP
+	// deployments use; over this link its RPCs are link-level messages,
+	// and the only error it can return is "closed".
+	ctr := cluster.NewCounter()
+	defer ctr.Close()
 
 	const clients, per = 40, 30
 	vals := make([][]int64, clients)
@@ -46,7 +49,11 @@ func main() {
 		go func(pid int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				vals[pid] = append(vals[pid], ctr.Inc(pid))
+				v, err := ctr.Inc(pid)
+				if err != nil {
+					log.Fatal(err)
+				}
+				vals[pid] = append(vals[pid], v)
 			}
 		}(pid)
 	}
@@ -67,21 +74,27 @@ func main() {
 		len(all), clients, elapsed.Round(time.Millisecond))
 	uncoalesced := int64(len(all)) * int64(net.Depth())
 	fmt.Printf("messages: %d for %d tokens (%.2f msgs/token; uncoalesced protocol would send %d)\n",
-		ctr.Messages(), len(all), float64(ctr.Messages())/float64(len(all)), uncoalesced)
+		ctr.RPCs(), len(all), float64(ctr.RPCs())/float64(len(all)), uncoalesced)
 
 	// Explicit batching goes further still: one wavefront carries a whole
 	// group, one message per balancer touched, whatever k is.
-	before := ctr.Messages()
-	batch := ctr.IncBatch(0, 512, nil)
-	batchMsgs := ctr.Messages() - before
+	before := ctr.RPCs()
+	batch, err := ctr.IncBatch(0, 512, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	batchMsgs := ctr.RPCs() - before
 	fmt.Printf("IncBatch(k=512): %d values in %d messages (%.3f msgs/token)\n",
 		len(batch), batchMsgs, float64(batchMsgs)/float64(len(batch)))
 
 	// And antitokens ride the same protocol: revoke the whole batch.
-	before = ctr.Messages()
-	revoked := ctr.DecBatch(0, 512, nil)
+	before = ctr.RPCs()
+	revoked, err := ctr.DecBatch(0, 512, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("DecBatch(k=512): revoked %d values in %d messages\n",
-		len(revoked), ctr.Messages()-before)
+		len(revoked), ctr.RPCs()-before)
 
 	// Scaling out: S independent deployments with pid striping. Each
 	// stripe keeps its own coalescing windows and batched flights, values
@@ -89,13 +102,16 @@ func main() {
 	// the read side aggregates so exact-count accounting survives
 	// sharding.
 	const stripes = 4
-	sh, err := countnet.NewShardedDistributedCounter(stripes,
-		func() (*countnet.Network, error) { return countnet.NewCWT(8, 24) },
-		countnet.DistributedConfig{LinkBuffer: 4, HopLatency: 100 * time.Microsecond})
+	fleet := make([]*countnet.DistributedCluster, stripes)
+	for i := range fleet {
+		fleet[i] = countnet.StartDistributedCluster(net, cfg)
+		defer fleet[i].Stop()
+	}
+	sh, err := countnet.NewFleet(fleet, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sh.Stop()
+	defer sh.Close()
 	var shWG sync.WaitGroup
 	uniq := make([][]int64, clients)
 	for pid := 0; pid < clients; pid++ {
@@ -103,7 +119,11 @@ func main() {
 		go func(pid int) {
 			defer shWG.Done()
 			for i := 0; i < per; i++ {
-				uniq[pid] = append(uniq[pid], sh.Inc(pid))
+				v, err := sh.Inc(pid)
+				if err != nil {
+					log.Fatal(err)
+				}
+				uniq[pid] = append(uniq[pid], v)
 			}
 		}(pid)
 	}
@@ -117,9 +137,9 @@ func main() {
 			seen[v] = true
 		}
 	}
-	if got := sh.Read(); got != int64(clients*per) {
-		log.Fatalf("aggregate read %d != %d ops", got, clients*per)
+	if got, err := sh.Read(); err != nil || got != int64(clients*per) {
+		log.Fatalf("aggregate read (%d, %v) != %d ops", got, err, clients*per)
 	}
 	fmt.Printf("sharded x%d: %d increments, all unique, aggregate read matches; %.2f msgs/op across the fleet\n",
-		stripes, clients*per, float64(sh.Messages())/float64(clients*per))
+		stripes, clients*per, float64(sh.RPCs())/float64(clients*per))
 }

@@ -125,12 +125,19 @@ func main() {
 	// value is ever gapped or duplicated). Values land in disjoint
 	// residue classes and the read side aggregates across stripes.
 	const stripes = 2
-	fleet, stopFleet, err := countnet.StartTCPShardedCluster(topo, stripes, shards)
+	fleet := make([]*countnet.TCPCluster, stripes)
+	for i := range fleet {
+		c, stop, err := countnet.StartTCPCluster(topo, shards)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer stop()
+		fleet[i] = c
+	}
+	fctr, err := countnet.NewFleet(fleet, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopFleet()
-	fctr := countnet.NewShardedClusterCounter(fleet, 2)
 	defer fctr.Close()
 	var fleetWG sync.WaitGroup
 	uniq := make([][]int64, clients)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/distnet"
 	"repro/internal/inproc"
 	"repro/internal/network"
 	"repro/internal/tcpnet"
@@ -36,11 +37,21 @@ type fixture struct {
 	mk   func(t *testing.T, topo *network.Network, shards int) *instance
 }
 
-var transports = []fixture{
+// faultable is the transports with a fault hook. The retry/replay and
+// frame-bill cells run over these three only: the dist link cannot fail
+// (a message is a channel send, so there is nothing to arm), and it
+// bills one message per balancer touched with no CELL frame, so its
+// integers are its own — distnet's TestBatchMessagesPerToken and
+// TestSessionBillsItsOwnMessages pin those.
+var faultable = []fixture{
 	{name: "tcp", mk: mkTCP},
 	{name: "udp", mk: mkUDP},
 	{name: "inproc", mk: mkInproc},
 }
+
+// transports is every Link on the seam: the cells that need no fault
+// hook run over all four.
+var transports = append(faultable[:len(faultable):len(faultable)], fixture{name: "dist", mk: mkDist})
 
 // failAfter is a net.Conn that dies — closes and errors — when its
 // write allowance runs out, killing a TCP session at an exact frame
@@ -66,22 +77,11 @@ func (f *failAfter) Write(b []byte) (int, error) {
 
 func mkTCP(t *testing.T, topo *network.Network, shards int) *instance {
 	t.Helper()
-	addrs := make([]string, shards)
-	var servers []*tcpnet.Shard
-	for i := 0; i < shards; i++ {
-		s, err := tcpnet.StartShard("127.0.0.1:0", topo, i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, s)
-		addrs[i] = s.Addr()
+	c, stop, err := tcpnet.StartCluster(topo, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	c := tcpnet.NewCluster(topo, addrs)
+	t.Cleanup(stop)
 	rng := rand.New(rand.NewSource(42))
 	var mu sync.Mutex
 	return &instance{
@@ -161,6 +161,16 @@ func mkInproc(t *testing.T, topo *network.Network, shards int) *instance {
 		// retry and the dedup must answer from the recorded replies.
 		arm: func() { c.LoseReplies(3) },
 	}
+}
+
+// mkDist deploys the message-passing emulation: one server goroutine per
+// balancer whatever `shards` says, and no faults to inject — its chaos
+// cells run with chaos off.
+func mkDist(t *testing.T, topo *network.Network, _ int) *instance {
+	t.Helper()
+	c := distnet.NewCluster(topo, distnet.Config{})
+	t.Cleanup(c.Stop)
+	return &instance{counter: c.NewCounterPool, chaos: func(bool) {}}
 }
 
 // checkDense asserts the claimed values are exactly {0..total-1} as
@@ -273,7 +283,7 @@ func TestConformanceChaosExactCountGrid(t *testing.T) {
 // replay the sequence tape and land exactly once: dense values, exact
 // Read.
 func TestConformanceRetryReplayExactlyOnce(t *testing.T) {
-	for _, fx := range transports {
+	for _, fx := range faultable {
 		t.Run(fx.name, func(t *testing.T) {
 			topo, err := core.New(4, 8)
 			if err != nil {
@@ -434,9 +444,9 @@ func TestConformanceDrainHealthFlips(t *testing.T) {
 func TestTransportFrameBillEquality(t *testing.T) {
 	for _, k := range []int{1, 64} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			bills := make(map[string]int64, len(transports))
+			bills := make(map[string]int64, len(faultable))
 			var tokens int64
-			for _, fx := range transports {
+			for _, fx := range faultable {
 				topo, err := core.New(4, 8)
 				if err != nil {
 					t.Fatal(err)
@@ -459,7 +469,7 @@ func TestTransportFrameBillEquality(t *testing.T) {
 				bills[fx.name] = ctr.RPCs()
 				ctr.Close()
 			}
-			ref := bills[transports[0].name]
+			ref := bills[faultable[0].name]
 			for name, rpcs := range bills {
 				if rpcs != ref {
 					t.Fatalf("frame bills diverge: %v (want all == %d, got %s = %d)", bills, ref, name, rpcs)

@@ -1,8 +1,11 @@
 // Package conformance holds the transport conformance suite: one set
 // of behavioural tests run identically against every transport that
 // plugs into the internal/xport seam — tcpnet (stream sockets), udpnet
-// (datagrams with retransmit) and inproc (the dependency-free in-memory
-// link with injectable faults).
+// (datagrams with retransmit), inproc (the dependency-free in-memory
+// link with injectable faults) and distnet (the message-passing
+// emulation, which has no fault to inject: it runs the cells that need
+// no fault hook — the exact-count grid, close-during-flight, the drain
+// health flips and the defaults).
 //
 // The suite is the executable contract a new transport must satisfy
 // before it ships:

@@ -24,7 +24,7 @@ func TestLatencyFrameBillUnchanged(t *testing.T) {
 		wantK1Bill  = 2048 // 512 tokens x (depth+1)
 		wantK64Bill = 480  // 32 batches x 15 rpcs
 	)
-	for _, fx := range transports {
+	for _, fx := range faultable {
 		t.Run(fx.name, func(t *testing.T) {
 			topo, err := core.New(4, 8)
 			if err != nil {

@@ -39,21 +39,20 @@ func BenchmarkInjectBatch(b *testing.B) {
 func BenchmarkShardedIncBatch(b *testing.B) {
 	for _, S := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("CWT8x24/S=%d/k=64", S), func(b *testing.B) {
-			sc, err := NewSharded(S, func() (*network.Network, error) {
+			sc := newFleet(b, S, func() (*network.Network, error) {
 				return core.New(8, 24)
 			}, Config{LinkBuffer: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sc.Stop()
 			var vals []int64
+			var err error
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				vals = sc.IncBatch(i, 64, vals[:0])
+				if vals, err = sc.IncBatch(i, 64, vals[:0]); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			tokens := float64(b.N) * 64
-			b.ReportMetric(float64(sc.Messages())/tokens, "msgs/token")
+			b.ReportMetric(float64(sc.RPCs())/tokens, "msgs/token")
 		})
 	}
 }
@@ -66,14 +65,13 @@ func BenchmarkCounterCoalesced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCounter(net, Config{LinkBuffer: 4})
-	defer c.Stop()
+	c := newCounter(b, net, Config{LinkBuffer: 4})
 	var pids atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		pid := int(pids.Add(1))
 		for pb.Next() {
-			c.Inc(pid)
+			mustInc(b, c, pid)
 		}
 	})
-	b.ReportMetric(float64(c.Messages())/float64(b.N), "msgs/op")
+	b.ReportMetric(float64(c.RPCs())/float64(b.N), "msgs/op")
 }

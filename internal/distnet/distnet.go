@@ -24,10 +24,16 @@
 // of k·depth, the distributed counterpart of network.TraverseBatch; the
 // injector wakes when the wavefront has drained.
 //
-// On top of the protocol, Counter coalesces concurrent Inc callers that
-// enter on the same input wire into one in-flight batch (a single-flight
-// window per wire), so wide workloads pay one network round trip per
-// window rather than per token.
+// # The deployment as a transport
+//
+// A Cluster is a running System plus its exit cells, seen as an
+// xport.Link: a session's Inc is one single-token injection and a cell
+// fetch, its Batch one wavefront and the cells it landed on, and its RPCs
+// the link-level messages those injections caused. Everything a client
+// stacks on top — coalescing concurrent Inc callers on one input wire into
+// a shared flight, pooling, pid-striped fleets, /health, /metrics and
+// /debug/flights — is the one xport implementation every transport shares;
+// Counter is xport.Counter, and a fleet is xport.NewFleet over Clusters.
 package distnet
 
 import (
@@ -37,9 +43,9 @@ import (
 	"time"
 
 	"repro/internal/balancer"
-	"repro/internal/ctlplane"
 	"repro/internal/network"
 	"repro/internal/wire"
+	"repro/internal/xport"
 )
 
 // Config tunes the emulation.
@@ -60,7 +66,7 @@ type System struct {
 	inboxes []chan msg
 	wg      sync.WaitGroup
 	cfg     Config
-	pool    sync.Pool    // of chan int, for single-token replies
+	pool    sync.Pool    // of chan exit, for single-token replies
 	msgs    atomic.Int64 // messages sent (injections + forwards)
 	stopped bool
 }
@@ -68,9 +74,18 @@ type System struct {
 // msg is one link-level message: either a single token/antitoken with a
 // direct reply channel (the latency path), or a batch wavefront.
 type msg struct {
-	anti bool     // antitoken traffic (Fetch&Decrement, ref [2])
-	done chan int // single-token reply: receives the exit wire
-	bat  *batch   // batch wavefront, nil on the single path
+	anti bool      // antitoken traffic (Fetch&Decrement, ref [2])
+	done chan exit // single-token reply
+	msgs int64     // times this token has been sent so far
+	bat  *batch    // batch wavefront, nil on the single path
+}
+
+// exit is a single token's reply: the output wire it left on and the
+// link-level messages it took to get there — the per-injection bill a
+// Cluster session reports as RPCs without a second shared counter.
+type exit struct {
+	wire int
+	msgs int64
 }
 
 // batch is the state of one in-flight wavefront. It is owned exclusively
@@ -79,6 +94,7 @@ type msg struct {
 type batch struct {
 	pending []int64 // per balancer: tokens queued to cross it
 	tally   []int64 // per network output wire: exits so far
+	msgs    int64   // times the wavefront has been sent so far
 	done    chan struct{}
 }
 
@@ -94,7 +110,7 @@ func Start(net *network.Network, cfg Config) *System {
 		inboxes: make([]chan msg, net.Size()),
 		cfg:     cfg,
 	}
-	s.pool.New = func() any { return make(chan int, 1) }
+	s.pool.New = func() any { return make(chan exit, 1) }
 	for i := range s.inboxes {
 		s.inboxes[i] = make(chan msg, cfg.LinkBuffer)
 	}
@@ -106,9 +122,15 @@ func Start(net *network.Network, cfg Config) *System {
 	return s
 }
 
-// send delivers a message to a balancer inbox, counting it.
+// send delivers a message to a balancer inbox, counting it on the system
+// and on the token or wavefront itself (whose current holder is the sender).
 func (s *System) send(node int, m msg) {
 	s.msgs.Add(1)
+	if m.bat != nil {
+		m.bat.msgs++
+	} else {
+		m.msgs++
+	}
 	s.inboxes[node] <- m
 }
 
@@ -147,7 +169,7 @@ func (s *System) serve(id, q int, init int64) {
 			}
 			next, nport := s.net.Dest(id, wireOf(idx, q))
 			if next < 0 {
-				m.done <- nport
+				m.done <- exit{wire: nport, msgs: m.msgs}
 				continue
 			}
 			s.send(next, m)
@@ -199,17 +221,17 @@ func (s *System) serve(id, q int, init int64) {
 
 // Inject shepherds one token in on the given input wire and blocks until
 // it exits, returning the output wire. Safe for concurrent use.
-func (s *System) Inject(wire int) int { return s.inject(wire, false) }
+func (s *System) Inject(wire int) int { return s.inject(wire, false).wire }
 
 // InjectAnti is Inject for one antitoken (Fetch&Decrement traffic).
-func (s *System) InjectAnti(wire int) int { return s.inject(wire, true) }
+func (s *System) InjectAnti(wire int) int { return s.inject(wire, true).wire }
 
-func (s *System) inject(wire int, anti bool) int {
+func (s *System) inject(wire int, anti bool) exit {
 	nd, port := s.net.InputDest(wire)
 	if nd < 0 {
-		return port
+		return exit{wire: port}
 	}
-	done := s.pool.Get().(chan int)
+	done := s.pool.Get().(chan exit)
 	s.send(nd, msg{anti: anti, done: done})
 	out := <-done
 	s.pool.Put(done)
@@ -237,17 +259,19 @@ func (s *System) InjectAntiBatch(wire int, k int64) []int64 {
 	return out
 }
 
-func (s *System) injectBatch(wire int, k int64, anti bool, out []int64) {
+// injectBatch adds the wavefront's exits to out and returns the messages
+// it took.
+func (s *System) injectBatch(wire int, k int64, anti bool, out []int64) int64 {
 	if k < 0 {
 		panic("distnet: InjectBatch of negative batch size")
 	}
 	if k == 0 {
-		return
+		return 0
 	}
 	nd, port := s.net.InputDest(wire)
 	if nd < 0 {
 		out[port] += k
-		return
+		return 0
 	}
 	b := &batch{
 		pending: make([]int64, len(s.inboxes)),
@@ -260,6 +284,7 @@ func (s *System) injectBatch(wire int, k int64, anti bool, out []int64) {
 	for i, v := range b.tally {
 		out[i] += v
 	}
+	return b.msgs
 }
 
 // Messages returns the number of link-level messages sent so far
@@ -279,26 +304,15 @@ func (s *System) Stop() {
 	s.wg.Wait()
 }
 
-// Counter layers Fetch&Increment / Fetch&Decrement cells over a
-// distributed network, the full counter deployment of [19,20]. Concurrent
-// Inc callers entering on the same input wire coalesce into one in-flight
-// batched message per single-flight window.
-type Counter struct {
+// Cluster is a running deployment — the System and the exit cells that
+// turn exit wires into counter values, the full counter deployment of
+// [19,20] — seen as the fourth xport.Link. Its sessions hold no state a
+// fault could desync (a message is a channel send), so the link never
+// fails: SetTape is a no-op and every session probes healthy.
+type Cluster struct {
 	sys   *System
 	cells []cell
-	combs []wireComb
-	w     int
 	t     int64
-
-	// Control-plane state: read-side views over the emulation's message
-	// bill and the coalescing windows, plus liveness for /health. The
-	// two per-operation atomics are noise next to the channel hops each
-	// operation already pays.
-	stopped      atomic.Bool
-	inflightN    atomic.Int64
-	windows      atomic.Int64
-	windowTokens atomic.Int64
-	reg          *ctlplane.Registry
 }
 
 type cell struct {
@@ -307,245 +321,138 @@ type cell struct {
 	_  [6]int64
 }
 
-// wireComb is the per-input-wire coalescing state: while one flight is in
-// the network, later arrivals on the same wire pool into a window that
-// the flight's owner executes as one batch when it lands.
-type wireComb struct {
-	mu     sync.Mutex
-	flying bool
-	next   *window
-	_      [4]int64
+// add moves the cell by delta and returns the value it held before.
+func (cl *cell) add(delta int64) int64 {
+	cl.mu.Lock()
+	v := cl.v
+	cl.v += delta
+	cl.mu.Unlock()
+	return v
 }
 
-// window is one pooled group of coalesced Inc calls.
-type window struct {
-	k    int64
-	vals []int64
-	done chan struct{}
-}
-
-// NewCounter starts a distributed counter over the network.
-func NewCounter(net *network.Network, cfg Config) *Counter {
-	c := &Counter{
+// NewCluster starts a distributed deployment of the network with its
+// exit cells at their initial values; Stop it when every counter over it
+// has been closed.
+func NewCluster(net *network.Network, cfg Config) *Cluster {
+	c := &Cluster{
 		sys:   Start(net, cfg),
 		cells: make([]cell, net.OutWidth()),
-		combs: make([]wireComb, net.InWidth()),
-		w:     net.InWidth(),
 		t:     int64(net.OutWidth()),
 	}
 	for i := range c.cells {
 		c.cells[i].v = int64(i)
 	}
-	c.reg = ctlplane.NewRegistry()
-	labels := []ctlplane.Label{{Key: "transport", Value: "dist"}}
-	c.reg.Counter(wire.MetricClientMsgs, wire.HelpClientMsgs, c.Messages, labels...)
-	c.reg.Gauge(wire.MetricClientInflight, wire.HelpClientInflight, c.inflightN.Load, labels...)
-	c.reg.Counter(wire.MetricClientWindows, wire.HelpClientWindows, c.windows.Load, labels...)
-	c.reg.Counter(wire.MetricClientWindowTokens, wire.HelpClientWindowTokens, c.windowTokens.Load, labels...)
 	return c
 }
 
-// CounterStatus is a distnet counter's /status document.
-type CounterStatus struct {
-	Transport  string `json:"transport"`
-	State      string `json:"state"` // live or stopped
-	Network    string `json:"network"`
-	Servers    int    `json:"servers"` // balancer server goroutines
-	InWidth    int    `json:"in_width"`
-	OutWidth   int    `json:"out_width"`
-	LinkBuffer int    `json:"link_buffer"`
-	HopLatency string `json:"hop_latency"`
+// Transport implements xport.Link: the metrics label and /status
+// discriminator.
+func (c *Cluster) Transport() string { return "dist" }
+
+// Addrs implements xport.Link. The emulation has no endpoints; /status
+// shows the deployment's shape (servers, link buffer, hop latency) in
+// their place.
+func (c *Cluster) Addrs() []string { return []string{c.sys.String()} }
+
+// InWidth implements xport.Link with the topology's input width.
+func (c *Cluster) InWidth() int { return c.sys.net.InWidth() }
+
+// OutWidth implements xport.Link with the topology's output width.
+func (c *Cluster) OutWidth() int { return c.sys.net.OutWidth() }
+
+// Topology names the deployed network, for fleet names and bench tables.
+func (c *Cluster) Topology() string { return c.sys.net.Name() }
+
+// Dial implements xport.Link. The client id is unused: with no failures
+// there are no retries to deduplicate.
+func (c *Cluster) Dial(uint64) (xport.Session, error) {
+	return &session{c: c, tally: make([]int64, len(c.cells))}, nil
 }
 
-// Health implements ctlplane.Source: live until Stop, quiescent while
-// no Inc/Dec/batch call is inside the network.
-func (c *Counter) Health() ctlplane.Health {
-	if c.stopped.Load() {
-		return ctlplane.Health{Detail: "stopped"}
-	}
-	return ctlplane.Health{
-		Live:      true,
-		Quiescent: c.inflightN.Load() == 0,
-		Detail:    "live",
-	}
+// RetryBudget implements xport.Link: no flight can fail, so there is
+// nothing to budget.
+func (c *Cluster) RetryBudget() time.Duration { return 0 }
+
+// Stop shuts the deployment's servers down. Every operation must have
+// returned.
+func (c *Cluster) Stop() { c.sys.Stop() }
+
+// Counter is the deployment-wide coalescing Fetch&Increment /
+// Fetch&Decrement client: the shared transport-agnostic core (see
+// xport.Counter) over the message-passing link. Its RPCs are the
+// link-level messages of refs [19,20] — the numerator of the E25/E26
+// msgs-per-token tables.
+type Counter = xport.Counter
+
+// NewCounter builds the coalescing counter client with the default pool
+// width (one session slot per input wire).
+func (c *Cluster) NewCounter() *Counter { return c.NewCounterPool(0) }
+
+// NewCounterPool builds the coalescing counter client over a pool
+// retaining at most width idle sessions (width <= 0 defaults to the
+// input width) — the one shared implementation in xport.
+func (c *Cluster) NewCounterPool(width int) *Counter {
+	return xport.NewCounter(c, width)
 }
 
-// Status implements ctlplane.Source with the emulation's shape.
-func (c *Counter) Status() any {
-	state := "live"
-	if c.stopped.Load() {
-		state = "stopped"
-	}
-	return CounterStatus{
-		Transport:  "dist",
-		State:      state,
-		Network:    c.sys.net.Name(),
-		Servers:    len(c.sys.inboxes),
-		InWidth:    c.w,
-		OutWidth:   int(c.t),
-		LinkBuffer: c.sys.cfg.LinkBuffer,
-		HopLatency: c.sys.cfg.HopLatency.String(),
-	}
+// session is one pooled walker: it injects into the shared System and
+// bills the messages its own injections caused.
+type session struct {
+	c     *Cluster
+	rpcs  atomic.Int64 // read by scrapes while a flight adds to it
+	tally []int64      // wavefront exit scratch, reused across batches
 }
 
-// Gather implements ctlplane.Source, evaluating the counter's
-// registered metric views.
-func (c *Counter) Gather() []ctlplane.Sample { return c.reg.Gather() }
-
-// Inc implements Fetch&Increment through the distributed network. A lone
-// caller pays the single-token latency path; concurrent callers on the
-// same input wire coalesce into batched flights.
-func (c *Counter) Inc(pid int) int64 {
-	c.inflightN.Add(1)
-	defer c.inflightN.Add(-1)
-	wire := pid % c.w
-	cb := &c.combs[wire]
-	cb.mu.Lock()
-	if cb.flying {
-		w := cb.next
-		if w == nil {
-			w = &window{done: make(chan struct{})}
-			cb.next = w
-		}
-		idx := w.k
-		w.k++
-		cb.mu.Unlock()
-		<-w.done
-		return w.vals[idx]
-	}
-	cb.flying = true
-	cb.mu.Unlock()
-	v := c.incOne(wire)
-	c.land(cb, wire)
-	return v
+// Inc shepherds one token along the single-token latency path and
+// claims the next value of the exit cell it lands on.
+func (s *session) Inc(pid int) (int64, error) {
+	out := s.c.sys.inject(pid%s.c.InWidth(), false)
+	s.rpcs.Add(out.msgs)
+	return s.c.cells[out.wire].add(s.c.t), nil
 }
 
-// incOne performs one uncoalesced Fetch&Increment on the given wire.
-func (c *Counter) incOne(wire int) int64 {
-	i := c.sys.Inject(wire)
-	cl := &c.cells[i]
-	cl.mu.Lock()
-	v := cl.v
-	cl.v += c.t
-	cl.mu.Unlock()
-	return v
-}
-
-// land drains the windows that pooled up behind the owner's flight, one
-// batched round trip per window, then releases the wire.
-func (c *Counter) land(cb *wireComb, wire int) {
-	for {
-		cb.mu.Lock()
-		w := cb.next
-		cb.next = nil
-		if w == nil {
-			cb.flying = false
-			cb.mu.Unlock()
-			return
-		}
-		cb.mu.Unlock()
-		c.windows.Add(1)
-		c.windowTokens.Add(w.k)
-		w.vals = c.incBatchWire(wire, w.k, w.vals[:0])
-		close(w.done)
-	}
-}
-
-// IncBatch performs k Fetch&Increment operations as one batched flight
-// entering on wire pid mod w, appending the k claimed values to dst.
-func (c *Counter) IncBatch(pid, k int, dst []int64) []int64 {
-	if k <= 0 {
-		return dst
-	}
-	c.inflightN.Add(1)
-	defer c.inflightN.Add(-1)
-	return c.incBatchWire(pid%c.w, int64(k), dst)
-}
-
-func (c *Counter) incBatchWire(wire int, k int64, dst []int64) []int64 {
-	tally := c.sys.InjectBatch(wire, k)
-	for i, cnt := range tally {
+// Batch shepherds k tokens (anti: antitokens, ref [2]) as one wavefront
+// and claims (revokes) a run of values on every exit cell it landed on;
+// an antitoken batch returns each cell's most recent values first.
+func (s *session) Batch(in int, k int64, anti bool, dst []int64) ([]int64, error) {
+	clear(s.tally)
+	s.rpcs.Add(s.c.sys.injectBatch(in, k, anti, s.tally))
+	t := s.c.t
+	for i, cnt := range s.tally {
 		if cnt == 0 {
 			continue
 		}
-		cl := &c.cells[i]
-		cl.mu.Lock()
-		v := cl.v
-		cl.v += c.t * cnt
-		cl.mu.Unlock()
-		for j := int64(0); j < cnt; j++ {
-			dst = append(dst, v+j*c.t)
+		if anti {
+			end := s.c.cells[i].add(-t*cnt) - t*cnt
+			for v := end + t*(cnt-1); v >= end; v -= t {
+				dst = append(dst, v)
+			}
+		} else {
+			v := s.c.cells[i].add(t * cnt)
+			for j := int64(0); j < cnt; j++ {
+				dst = append(dst, v+j*t)
+			}
 		}
 	}
-	return dst
+	return dst, nil
 }
 
-// Dec performs Fetch&Decrement via an antitoken (ref [2]): it undoes the
-// most recent increment on its exit wire and returns the value that
-// increment had handed out.
-func (c *Counter) Dec(pid int) int64 {
-	c.inflightN.Add(1)
-	defer c.inflightN.Add(-1)
-	i := c.sys.InjectAnti(pid % c.w)
-	cl := &c.cells[i]
-	cl.mu.Lock()
-	cl.v -= c.t
-	v := cl.v
-	cl.mu.Unlock()
-	return v
-}
-
-// DecBatch performs k Fetch&Decrement operations as one batched antitoken
-// flight, appending the k revoked values to dst — the distributed
-// counterpart of counter.Network.DecBatch.
-func (c *Counter) DecBatch(pid, k int, dst []int64) []int64 {
-	if k <= 0 {
-		return dst
-	}
-	c.inflightN.Add(1)
-	defer c.inflightN.Add(-1)
-	tally := c.sys.InjectAntiBatch(pid%c.w, int64(k))
-	for i, cnt := range tally {
-		if cnt == 0 {
-			continue
-		}
-		cl := &c.cells[i]
-		cl.mu.Lock()
-		cl.v -= c.t * cnt
-		end := cl.v
-		cl.mu.Unlock()
-		for v := end + c.t*(cnt-1); v >= end; v -= c.t {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// Messages reports the deployment's link-level message count.
-func (c *Counter) Messages() int64 { return c.sys.Messages() }
-
-// Read returns the counter's net value (increments minus decrements) by
-// summing the exit cells — the deployment-wide exact-count read. Only
-// meaningful in a quiescent state, like counter.Network.Issued.
-func (c *Counter) Read() int64 {
+// Read sums the exit cells into the net count (increments minus
+// decrements) locally — no messages. Only meaningful in a quiescent
+// state, like counter.Network.Issued.
+func (s *session) Read() (int64, error) {
 	var total int64
-	for i := range c.cells {
-		cl := &c.cells[i]
-		cl.mu.Lock()
-		total += (cl.v - int64(i)) / c.t
-		cl.mu.Unlock()
+	for i := range s.c.cells {
+		// add(0): the cell's value, read under its lock.
+		total += (s.c.cells[i].add(0) - int64(i)) / s.c.t
 	}
-	return total
+	return total, nil
 }
 
-// Name identifies the counter in benchmark tables.
-func (c *Counter) Name() string { return "dist:" + c.sys.net.Name() }
-
-// Stop shuts the underlying system down.
-func (c *Counter) Stop() {
-	c.stopped.Store(true)
-	c.sys.Stop()
-}
+func (s *session) RPCs() int64           { return s.rpcs.Load() }
+func (s *session) SetTape(*wire.SeqTape) {}
+func (s *session) Healthy() bool         { return true }
+func (s *session) Close()                {}
 
 // String describes the deployment.
 func (s *System) String() string {

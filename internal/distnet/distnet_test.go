@@ -92,13 +92,34 @@ func TestMatchesQuiescent(t *testing.T) {
 	}
 }
 
+// newCounter deploys net and returns the coalescing client over it; the
+// cleanup closes the counter before stopping the servers under it.
+func newCounter(t testing.TB, net *network.Network, cfg Config) *Counter {
+	t.Helper()
+	cl := NewCluster(net, cfg)
+	c := cl.NewCounter()
+	t.Cleanup(func() {
+		c.Close()
+		cl.Stop()
+	})
+	return c
+}
+
+// mustInc is Inc on a link that cannot fail: any error is a test bug.
+func mustInc(t testing.TB, c *Counter, pid int) int64 {
+	v, err := c.Inc(pid)
+	if err != nil {
+		t.Error(err)
+	}
+	return v
+}
+
 func TestCounterUnique(t *testing.T) {
 	net, err := bitonic.New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCounter(net, Config{LinkBuffer: 4})
-	defer c.Stop()
+	c := newCounter(t, net, Config{LinkBuffer: 4})
 	const procs, per = 8, 300
 	vals := make([][]int64, procs)
 	var wg sync.WaitGroup
@@ -107,7 +128,7 @@ func TestCounterUnique(t *testing.T) {
 		go func(pid int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				vals[pid] = append(vals[pid], c.Inc(pid))
+				vals[pid] = append(vals[pid], mustInc(t, c, pid))
 			}
 		}(pid)
 	}
@@ -280,12 +301,13 @@ func TestCounterBatchDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCounter(net, Config{LinkBuffer: 2})
-	defer c.Stop()
+	c := newCounter(t, net, Config{LinkBuffer: 2})
 
 	var vals []int64
 	for pid := 0; pid < 6; pid++ {
-		vals = c.IncBatch(pid, 20, vals)
+		if vals, err = c.IncBatch(pid, 20, vals); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	for i, v := range vals {
@@ -293,19 +315,52 @@ func TestCounterBatchDense(t *testing.T) {
 			t.Fatalf("IncBatch values not dense at %d: %d", i, v)
 		}
 	}
-	revoked := c.DecBatch(3, 120, nil)
+	revoked, err := c.DecBatch(3, 120, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sort.Slice(revoked, func(i, j int) bool { return revoked[i] < revoked[j] })
 	if !seq.Equal(revoked, vals) {
 		t.Fatalf("DecBatch revoked %v, IncBatch claimed %v", revoked, vals)
 	}
-	if v := c.Inc(0); v != 0 {
+	if v := mustInc(t, c, 0); v != 0 {
 		t.Fatalf("counter not back at origin after full revocation: Inc = %d", v)
 	}
-	if got := c.IncBatch(0, 0, nil); len(got) != 0 {
+	if got, _ := c.IncBatch(0, 0, nil); len(got) != 0 {
 		t.Fatalf("IncBatch k=0 returned %v", got)
 	}
-	if got := c.DecBatch(0, -3, nil); len(got) != 0 {
+	if got, _ := c.DecBatch(0, -3, nil); len(got) != 0 {
 		t.Fatalf("DecBatch k<0 returned %v", got)
+	}
+}
+
+// A session bills exactly the messages its own injections caused: a lone
+// counter's RPCs equal the System's shared message count, for singles,
+// antitokens and wavefronts alike, and Read costs none.
+func TestSessionBillsItsOwnMessages(t *testing.T) {
+	net, err := core.New(8, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewCluster(net, Config{})
+	defer cl.Stop()
+	c := cl.NewCounterPool(1)
+	defer c.Close()
+	mustInc(t, c, 3)
+	if got, want := c.RPCs(), int64(net.Depth()); got != want {
+		t.Fatalf("one token billed %d messages, want depth %d", got, want)
+	}
+	if _, err := c.IncBatch(5, 64, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Dec(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.RPCs(), cl.sys.Messages(); got != want {
+		t.Fatalf("sessions billed %d messages, the links carried %d", got, want)
 	}
 }
 
@@ -322,8 +377,7 @@ func TestCounterCoalescedDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCounter(net, Config{LinkBuffer: 4, HopLatency: 50 * time.Microsecond})
-	defer c.Stop()
+	c := newCounter(t, net, Config{LinkBuffer: 4, HopLatency: 50 * time.Microsecond})
 	const procs, per = 48, 10
 	vals := make([][]int64, procs)
 	var wg sync.WaitGroup
@@ -332,7 +386,7 @@ func TestCounterCoalescedDense(t *testing.T) {
 		go func(pid int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				vals[pid] = append(vals[pid], c.Inc(pid))
+				vals[pid] = append(vals[pid], mustInc(t, c, pid))
 			}
 		}(pid)
 	}
@@ -353,14 +407,13 @@ func TestCounterCoalescedDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCounter(net2, Config{LinkBuffer: 4})
-	defer c2.Stop()
+	c2 := newCounter(t, net2, Config{LinkBuffer: 4})
 	for i := 0; i < per; i++ {
 		for pid := 0; pid < procs; pid++ {
-			c2.Inc(pid)
+			mustInc(t, c2, pid)
 		}
 	}
-	if got, base := c.Messages(), c2.Messages(); got >= base {
+	if got, base := c.RPCs(), c2.RPCs(); got >= base {
 		t.Fatalf("coalescing saved nothing: %d messages concurrent vs %d sequential", got, base)
 	} else {
 		t.Logf("messages: %d coalesced vs %d sequential (%.1fx fewer)", got, base,

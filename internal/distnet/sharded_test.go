@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -9,7 +10,36 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/shard"
+	"repro/internal/xport"
 )
+
+// newFleet deploys S independent emulations of build()'s network and
+// stripes them with the shared fleet constructor; the cleanup closes the
+// fleet's counters before stopping the servers under them.
+func newFleet(t testing.TB, S int, build func() (*network.Network, error), cfg Config) *xport.ShardedCounter {
+	t.Helper()
+	clusters, stop, err := xport.StartStripes(S, func() (*Cluster, func(), error) {
+		net, err := build()
+		if err != nil {
+			return nil, nil, err
+		}
+		cl := NewCluster(net, cfg)
+		return cl, cl.Stop, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := xport.NewFleet(clusters, 0)
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		sc.Close()
+		stop()
+	})
+	return sc
+}
 
 // The tentpole gate: for a grid of (stripes S, network width w, batch k),
 // a concurrent sharded run hands out globally unique values in the right
@@ -22,12 +52,9 @@ func TestShardedExactCount(t *testing.T) {
 		{3, 8, 16, 8},
 		{4, 8, 24, 64},
 	} {
-		sc, err := NewSharded(cse.S, func() (*network.Network, error) {
+		sc := newFleet(t, cse.S, func() (*network.Network, error) {
 			return core.New(cse.w, cse.t)
 		}, Config{LinkBuffer: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
 		const procs = 8
 		batches := 6
 		vals := make([][]int64, procs)
@@ -37,8 +64,15 @@ func TestShardedExactCount(t *testing.T) {
 			go func(pid int) {
 				defer wg.Done()
 				for b := 0; b < batches; b++ {
-					vals[pid] = sc.IncBatch(pid+b*procs, cse.k, vals[pid])
-					vals[pid] = append(vals[pid], sc.Inc(pid))
+					var err error
+					if vals[pid], err = sc.IncBatch(pid+b*procs, cse.k, vals[pid]); err != nil {
+						t.Error(err)
+					}
+					v, err := sc.Inc(pid)
+					if err != nil {
+						t.Error(err)
+					}
+					vals[pid] = append(vals[pid], v)
 				}
 			}(pid)
 		}
@@ -71,20 +105,23 @@ func TestShardedExactCount(t *testing.T) {
 		}
 		// Exact-count read-side aggregation: quiescent sum of stripe reads
 		// equals the sequential total.
-		if got := sc.Read(); got != total {
+		if got, _ := sc.Read(); got != total {
 			t.Fatalf("S=%d: Read() = %d, want %d", cse.S, got, total)
 		}
 		var perStripe int64
-		for i := 0; i < sc.Shards(); i++ {
-			perStripe += sc.Counter(i).Read()
+		for i := 0; i < sc.Stripes(); i++ {
+			v, _ := sc.Counter(i).Read()
+			perStripe += v
 		}
 		if perStripe != total {
 			t.Fatalf("S=%d: per-stripe reads sum to %d, want %d", cse.S, perStripe, total)
 		}
-		if sc.Messages() <= 0 {
+		if sc.RPCs() <= 0 {
 			t.Fatalf("S=%d: no messages billed", cse.S)
 		}
-		sc.Stop()
+		if want := fmt.Sprintf("distshard%d:C(%d,%d)", cse.S, cse.w, cse.t); sc.Name() != want {
+			t.Fatalf("fleet name %q, want %q", sc.Name(), want)
+		}
 	}
 }
 
@@ -101,35 +138,35 @@ func TestShardedMixedIncDec(t *testing.T) {
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			const S = 3
-			sc, err := NewSharded(S, fam.build, Config{LinkBuffer: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sc.Stop()
+			sc := newFleet(t, S, fam.build, Config{LinkBuffer: 2})
 			rng := rand.New(rand.NewSource(7))
 			var incs, decs int64
 			for op := 0; op < 400; op++ {
 				pid := rng.Intn(64)
+				var err error
 				switch rng.Intn(4) {
 				case 0:
-					sc.Inc(pid)
+					_, err = sc.Inc(pid)
 					incs++
 				case 1:
-					sc.Dec(pid)
+					_, err = sc.Dec(pid)
 					decs++
 				case 2:
 					k := 1 + rng.Intn(9)
-					sc.IncBatch(pid, k, nil)
+					_, err = sc.IncBatch(pid, k, nil)
 					incs += int64(k)
 				default:
 					k := 1 + rng.Intn(9)
-					sc.DecBatch(pid, k, nil)
+					_, err = sc.DecBatch(pid, k, nil)
 					decs += int64(k)
 				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got, want := sc.Read(), incs-decs; got != want {
+			if got, _ := sc.Read(); got != incs-decs {
 				t.Fatalf("Read() = %d after %d incs / %d decs, want %d",
-					got, incs, decs, want)
+					got, incs, decs, incs-decs)
 			}
 		})
 	}
@@ -138,15 +175,17 @@ func TestShardedMixedIncDec(t *testing.T) {
 // A stripe's batched values re-map into its residue class: IncBatch then
 // DecBatch on one pid revoke exactly the claimed multiset.
 func TestShardedBatchRevokes(t *testing.T) {
-	sc, err := NewSharded(4, func() (*network.Network, error) {
+	sc := newFleet(t, 4, func() (*network.Network, error) {
 		return core.New(4, 8)
 	}, Config{})
+	claimed, err := sc.IncBatch(11, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Stop()
-	claimed := sc.IncBatch(11, 40, nil)
-	revoked := sc.DecBatch(11, 40, nil)
+	revoked, err := sc.DecBatch(11, 40, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sort.Slice(claimed, func(i, j int) bool { return claimed[i] < claimed[j] })
 	sort.Slice(revoked, func(i, j int) bool { return revoked[i] < revoked[j] })
 	for i := range claimed {
@@ -154,30 +193,7 @@ func TestShardedBatchRevokes(t *testing.T) {
 			t.Fatalf("revoked %v != claimed %v", revoked, claimed)
 		}
 	}
-	if got := sc.Read(); got != 0 {
+	if got, _ := sc.Read(); got != 0 {
 		t.Fatalf("Read() = %d after full revocation, want 0", got)
 	}
 }
-
-func TestNewShardedRejectsBadArgs(t *testing.T) {
-	if _, err := NewSharded(0, nil, Config{}); err == nil {
-		t.Fatal("NewSharded(0) succeeded")
-	}
-	calls := 0
-	_, err := NewSharded(2, func() (*network.Network, error) {
-		calls++
-		if calls > 1 {
-			return nil, errBuild
-		}
-		return core.New(2, 2)
-	}, Config{})
-	if err == nil {
-		t.Fatal("NewSharded with failing build succeeded")
-	}
-}
-
-var errBuild = &buildErr{}
-
-type buildErr struct{}
-
-func (*buildErr) Error() string { return "build failed" }

@@ -289,6 +289,29 @@ func NewCluster(n *network.Network, shards []*Shard) *Cluster {
 	return &Cluster{net: n, shards: shards}
 }
 
+// StartCluster builds one in-memory deployment of topo partitioned
+// across `shards` shards and returns the client cluster plus a stop
+// function closing every shard — the same harness shape as the socket
+// transports, so conformance fixtures swap transports freely.
+func StartCluster(topo *network.Network, shards int) (*Cluster, func(), error) {
+	return StartClusterConfig(topo, shards, ShardConfig{})
+}
+
+// StartClusterConfig is StartCluster with per-deployment shard tuning
+// (dedup-window sizing).
+func StartClusterConfig(topo *network.Network, shards int, cfg ShardConfig) (*Cluster, func(), error) {
+	servers := make([]*Shard, shards)
+	for i := 0; i < shards; i++ {
+		servers[i] = newShard(topo, i, shards, cfg)
+	}
+	stop := func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}
+	return NewCluster(topo, servers), stop, nil
+}
+
 // Shard returns the i-th shard of the deployment — the control plane
 // scrapes its registry and health the way it scrapes a socket shard's.
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
@@ -362,6 +385,9 @@ func (c *Cluster) InWidth() int { return c.net.InWidth() }
 
 // OutWidth implements xport.Link with the topology's output width.
 func (c *Cluster) OutWidth() int { return c.net.OutWidth() }
+
+// Topology names the deployed network, for fleet names (xport.NewFleet).
+func (c *Cluster) Topology() string { return c.net.Name() }
 
 // RetryBudget implements xport.Link: in-memory exchanges fail
 // instantly, so the flight-level retry window is short, like TCP's.

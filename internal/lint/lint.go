@@ -1,13 +1,13 @@
 // Package lint is the repository's dependency-free static-analysis
 // framework: a small analyzer interface over the stdlib go/ast +
 // go/parser + go/types stack (no x/tools, per the zero-dependency
-// rule), a module-aware package loader, and the six project-specific
+// rule), a module-aware package loader, and the five project-specific
 // analyzers that mechanize invariants previously enforced only by
 // reviewer discipline — the PR 3 no-unyielded-spin-loops audit, the
-// atomics-only access convention on hot-path fields, the Makefile ↔
-// ci.yml pinned-gate lockstep, the paired build-tag fallbacks for the
-// batched-syscall files, the single xport.ErrClosed sentinel, and the
-// Prometheus metric naming + OPERATIONS.md healthy-range catalogue.
+// atomics-only access convention on hot-path fields, the paired
+// build-tag fallbacks for the batched-syscall files, the single
+// xport.ErrClosed sentinel, and the Prometheus metric naming +
+// OPERATIONS.md healthy-range catalogue.
 //
 // cmd/countlint is the command-line driver (`make lint` runs it over
 // ./...). A diagnostic can be waived in place with a
@@ -44,8 +44,8 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check. Hooks are optional: File runs once per
 // type-checked file, Package once per package unit after the file
 // hooks, Repo once per run with every package unit in view (for
-// checks that cross packages or leave Go entirely, like the Makefile ↔
-// ci.yml lockstep).
+// checks that cross packages, like the metric catalogue against
+// ctlplanedoc's healthy-range map).
 type Analyzer struct {
 	Name string
 	Doc  string // one line, shown by `countlint -list`
@@ -100,28 +100,13 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
 }
 
-// RepoPass is the whole-run view handed to Repo hooks: the repository
-// root for non-Go artifacts (Makefile, ci.yml) and every loaded
+// RepoPass is the whole-run view handed to Repo hooks: every loaded
 // package unit.
 type RepoPass struct {
-	Root     string
 	Packages []*Pass
 
 	analyzer string
 	sink     *sink
-}
-
-// Report records a diagnostic at an explicit file position (line and
-// column are 1-based; column 0 renders as 1).
-func (rp *RepoPass) Report(file string, line, col int, format string, args ...any) {
-	if col <= 0 {
-		col = 1
-	}
-	rp.sink.add(Diagnostic{
-		Pos:      token.Position{Filename: file, Line: line, Column: col},
-		Analyzer: rp.analyzer,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // ReportPos records a diagnostic at a token.Pos resolved against a
@@ -172,12 +157,12 @@ func Run(root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, e
 		}
 		passes = append(passes, units...)
 	}
-	return runAnalyzers(root, passes, analyzers), nil
+	return runAnalyzers(passes, analyzers), nil
 }
 
 // runAnalyzers executes the hooks over already-loaded units. Split out
 // so tests can drive analyzers against fixture units directly.
-func runAnalyzers(root string, passes []*Pass, analyzers []*Analyzer) []Diagnostic {
+func runAnalyzers(passes []*Pass, analyzers []*Analyzer) []Diagnostic {
 	s := &sink{}
 	ignores := collectIgnores(passes, s)
 
@@ -195,7 +180,7 @@ func runAnalyzers(root string, passes []*Pass, analyzers []*Analyzer) []Diagnost
 			}
 		}
 	}
-	rp := &RepoPass{Root: root, Packages: passes, sink: s}
+	rp := &RepoPass{Packages: passes, sink: s}
 	for _, a := range analyzers {
 		rp.analyzer = a.Name
 		if a.Repo != nil {
@@ -296,7 +281,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SpinLoop,
 		AtomicField,
-		Lockstep,
 		TagPair,
 		Sentinel,
 		MetricName,

@@ -117,13 +117,13 @@ func TestFixtures(t *testing.T) {
 				wants := parseWants(t, root, dir)
 
 				// Without the analyzer the bad fixtures are silent.
-				for _, diag := range runAnalyzers(root, passes, nil) {
+				for _, diag := range runAnalyzers(passes, nil) {
 					if strings.Contains(diag.Pos.Filename, "bad") {
 						t.Errorf("diagnostic with no analyzers loaded: %s", diag)
 					}
 				}
 
-				diags := runAnalyzers(root, passes, []*Analyzer{tc.analyzer})
+				diags := runAnalyzers(passes, []*Analyzer{tc.analyzer})
 				for _, diag := range diags {
 					matched := false
 					for _, w := range wants {
@@ -159,7 +159,7 @@ func TestIgnoreDirectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	passes := loadFixture(t, ld, filepath.Join(root, "internal/lint/testdata/ignore"))
-	diags := runAnalyzers(root, passes, []*Analyzer{SpinLoop})
+	diags := runAnalyzers(passes, []*Analyzer{SpinLoop})
 
 	expect := map[string]string{
 		"malformed": "malformed //lint:ignore",

@@ -2,8 +2,9 @@ package shard
 
 // StripeOf maps a process id to one of `shards` stripes — the routing
 // discipline every sharded layer in the repository shares (the in-process
-// shard.Counter and the distributed distnet.Sharded / tcpnet.ShardedCluster
-// deployments), so a pid lands on the same stripe index at every layer.
+// shard.Counter and xport.ShardedCounter, the fleet client of every
+// distributed deployment), so a pid lands on the same stripe index at
+// every layer.
 //
 // Fibonacci hashing spreads dense pid ranges (0,1,2,... as issued by
 // benchmark harnesses) uniformly before reduction, so neighbouring pids do

@@ -6,27 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/network"
 )
-
-func benchCluster(b *testing.B, topo *network.Network, shards int) (*Cluster, func()) {
-	b.Helper()
-	var servers []*Shard
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		s, err := StartShard("127.0.0.1:0", topo, i, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		servers = append(servers, s)
-		addrs[i] = s.Addr()
-	}
-	return NewCluster(topo, addrs), func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
-}
 
 // E25: round trips and wall-clock per token of batched TCP pipelines as
 // the batch size grows — rpcs/token falls from depth+1 towards
@@ -38,7 +18,7 @@ func BenchmarkSessionIncBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cluster, stop := benchCluster(b, topo, 3)
+			cluster, stop := startCluster(b, topo, 3)
 			defer stop()
 			sess, err := cluster.NewSession()
 			if err != nil {
@@ -71,12 +51,12 @@ func BenchmarkShardedClusterIncBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc, stop, err := StartShardedCluster(topo, S, 3)
+			sc, stop, err := startStripes(topo, S, 3)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer stop()
-			ctr := sc.NewCounter(1)
+			ctr := newFleet(b, sc, 1)
 			defer ctr.Close()
 			var vals []int64
 			b.ResetTimer()
@@ -105,7 +85,7 @@ func BenchmarkCounterDedupBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cluster, stop := benchCluster(b, topo, 3)
+			cluster, stop := startCluster(b, topo, 3)
 			defer stop()
 			ctr := cluster.NewCounterPool(1)
 			defer ctr.Close()
@@ -131,7 +111,7 @@ func BenchmarkCounterCoalesced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster, stop := benchCluster(b, topo, 3)
+	cluster, stop := startCluster(b, topo, 3)
 	defer stop()
 	ctr := cluster.NewCounter()
 	defer ctr.Close()

@@ -219,15 +219,15 @@ func TestChaosSessionKillExactCountGrid(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sc, stop, err := StartShardedCluster(topo, S, 2)
+					sc, stop, err := startStripes(topo, S, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer stop()
 					for i := 0; i < S; i++ {
-						sc.Cluster(i).SetDialWrapper(chaos)
+						sc[i].SetDialWrapper(chaos)
 					}
-					ctr := sc.NewCounter(width)
+					ctr := newFleet(t, sc, width)
 					defer ctr.Close()
 					ctr.SetRetryPolicy(12, 30*time.Second)
 
@@ -261,7 +261,7 @@ func TestChaosSessionKillExactCountGrid(t *testing.T) {
 					// Quiesce the chaos for the read side, then verify the
 					// exact count and the zero-gap/zero-dup property.
 					for i := 0; i < S; i++ {
-						sc.Cluster(i).SetDialWrapper(nil)
+						sc[i].SetDialWrapper(nil)
 					}
 					total := int64(procs * per * k)
 					got, err := ctr.Read()

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctlplane"
+	"repro/internal/xport"
 )
 
 // scrape GETs url and returns the status code and body.
@@ -240,12 +241,12 @@ func TestShardedCounterEndpointAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, stop, err := StartShardedCluster(topo, 2, 2)
+	sc, stop, err := startStripes(topo, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
-	ctr := sc.NewCounter(0)
+	ctr := newFleet(t, sc, 0)
 	defer ctr.Close()
 	for pid := 0; pid < 16; pid++ {
 		if _, err := ctr.Inc(pid); err != nil {
@@ -279,7 +280,7 @@ func TestShardedCounterEndpointAggregation(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/status = %d", code)
 	}
-	var st ShardedStatus
+	var st xport.ShardedStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/status body %q: %v", body, err)
 	}
@@ -312,12 +313,12 @@ func TestSIGTERMDrainExactCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, stop, err := StartShardedCluster(topo, 2, 2)
+	sc, stop, err := startStripes(topo, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
-	ctr := sc.NewCounter(0)
+	ctr := newFleet(t, sc, 0)
 
 	done, cancel := DrainOnSignalForTest(t, ctr)
 	defer cancel()
@@ -367,7 +368,7 @@ func TestSIGTERMDrainExactCount(t *testing.T) {
 		seen[v] = struct{}{}
 	}
 
-	fresh := sc.NewCounter(0)
+	fresh := newFleet(t, sc, 0)
 	defer fresh.Close()
 	total, err := fresh.Read()
 	if err != nil {
@@ -382,7 +383,7 @@ func TestSIGTERMDrainExactCount(t *testing.T) {
 // DrainOnSignalForTest installs the production drain hook on SIGTERM.
 // signal.Notify intercepts the signal for the whole process, so the
 // test harness survives the Kill below.
-func DrainOnSignalForTest(t *testing.T, ctr *ShardedCounter) (<-chan struct{}, func()) {
+func DrainOnSignalForTest(t *testing.T, ctr *xport.ShardedCounter) (<-chan struct{}, func()) {
 	t.Helper()
 	return ctlplane.DrainOnSignal(func() { ctr.Close() }, syscall.SIGTERM)
 }

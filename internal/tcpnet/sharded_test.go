@@ -7,8 +7,28 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/network"
 	"repro/internal/shard"
+	"repro/internal/xport"
 )
+
+// startStripes launches S independent loopback deployments of topo, each
+// across `shards` servers, with one stop function for all of them.
+func startStripes(topo *network.Network, S, shards int) ([]*Cluster, func(), error) {
+	return xport.StartStripes(S, func() (*Cluster, func(), error) {
+		return StartCluster(topo, shards)
+	})
+}
+
+// newFleet stripes the deployments with the shared fleet constructor.
+func newFleet(tb testing.TB, clusters []*Cluster, width int) *xport.ShardedCounter {
+	tb.Helper()
+	ctr, err := xport.NewFleet(clusters, width)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctr
+}
 
 // The tentpole gate: over a grid of (stripes S, pool width, batch k), a
 // concurrent fleet run hands out globally unique values in the right
@@ -25,11 +45,11 @@ func TestShardedClusterExactCount(t *testing.T) {
 		{3, 1, 8},
 		{4, 2, 64},
 	} {
-		sc, stop, err := StartShardedCluster(topo, cse.S, 2)
+		sc, stop, err := startStripes(topo, cse.S, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr := sc.NewCounter(cse.width)
+		ctr := newFleet(t, sc, cse.width)
 
 		const procs, batches = 6, 4
 		vals := make([][]int64, procs)
@@ -90,7 +110,7 @@ func TestShardedClusterExactCount(t *testing.T) {
 			t.Fatalf("S=%d: Read() = %d, want %d", cse.S, got, total)
 		}
 		var perStripe int64
-		for i := 0; i < sc.Shards(); i++ {
+		for i := 0; i < len(sc); i++ {
 			v, err := ctr.Counter(i).Read()
 			if err != nil {
 				t.Fatal(err)
@@ -127,12 +147,12 @@ func TestShardedClusterMixedIncDec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc, stop, err := StartShardedCluster(topo, 3, 2)
+			sc, stop, err := startStripes(topo, 3, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer stop()
-			ctr := sc.NewCounter(1)
+			ctr := newFleet(t, sc, 1)
 			defer ctr.Close()
 
 			rng := rand.New(rand.NewSource(11))
@@ -168,35 +188,5 @@ func TestShardedClusterMixedIncDec(t *testing.T) {
 					got, incs, decs, want)
 			}
 		})
-	}
-}
-
-func TestShardedClusterRejectsBadArgs(t *testing.T) {
-	if _, err := NewShardedCluster(nil); err == nil {
-		t.Fatal("NewShardedCluster(nil) succeeded")
-	}
-	topoA, err := core.New(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topoB, err := core.New(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, stopA, err := StartShardedCluster(topoA, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopA()
-	b, stopB, err := StartShardedCluster(topoB, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopB()
-	if _, err := NewShardedCluster([]*Cluster{a.Cluster(0), b.Cluster(0)}); err == nil {
-		t.Fatal("mismatched shapes accepted")
-	}
-	if _, err := NewShardedCluster([]*Cluster{a.Cluster(0), nil}); err == nil {
-		t.Fatal("nil cluster accepted")
 	}
 }

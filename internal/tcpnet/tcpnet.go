@@ -435,6 +435,37 @@ func NewCluster(n *network.Network, addrs []string) *Cluster {
 	return &Cluster{net: n, addrs: addrs, stride: int64(n.OutWidth())}
 }
 
+// StartCluster launches one loopback deployment of topo partitioned
+// across `shards` TCP servers and returns the client cluster plus a stop
+// function closing every server — the test/benchmark harness, the same
+// shape as udpnet's and inproc's; production deployments build Clusters
+// over real addresses with NewCluster.
+func StartCluster(topo *network.Network, shards int) (*Cluster, func(), error) {
+	return StartClusterConfig(topo, shards, ShardConfig{})
+}
+
+// StartClusterConfig is StartCluster with per-deployment shard tuning
+// (dedup-window sizing).
+func StartClusterConfig(topo *network.Network, shards int, cfg ShardConfig) (*Cluster, func(), error) {
+	var servers []*Shard
+	stop := func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}
+	addrs := make([]string, shards)
+	for i := 0; i < shards; i++ {
+		s, err := StartShardConfig("127.0.0.1:0", topo, i, shards, cfg)
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		servers = append(servers, s)
+		addrs[i] = s.Addr()
+	}
+	return NewCluster(topo, addrs), stop, nil
+}
+
 // SetDialWrapper installs a hook wrapping every connection a new session
 // dials — the fault-injection point the session-kill chaos tests and
 // countbench's E27 kill column use to cut connections at exact frame
@@ -681,6 +712,9 @@ func (c *Cluster) InWidth() int { return c.net.InWidth() }
 
 // OutWidth implements xport.Link with the topology's output width.
 func (c *Cluster) OutWidth() int { return c.net.OutWidth() }
+
+// Topology names the deployed network, for fleet names (xport.NewFleet).
+func (c *Cluster) Topology() string { return c.net.Name() }
 
 // Dial implements xport.Link: a v2 session announcing the given client
 // id on every shard connection.

@@ -18,23 +18,13 @@ import (
 
 // startCluster launches `shards` shard servers on loopback for the given
 // topology and returns the client cluster plus a shutdown func.
-func startCluster(t *testing.T, topo *network.Network, shards int) (*Cluster, func()) {
-	t.Helper()
-	var servers []*Shard
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		s, err := StartShard("127.0.0.1:0", topo, i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, s)
-		addrs[i] = s.Addr()
+func startCluster(tb testing.TB, topo *network.Network, shards int) (*Cluster, func()) {
+	tb.Helper()
+	c, stop, err := StartCluster(topo, shards)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return NewCluster(topo, addrs), func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}
+	return c, stop
 }
 
 // The headline test: a C(4,8) counting network deployed across 3 TCP

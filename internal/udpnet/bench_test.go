@@ -168,12 +168,12 @@ func BenchmarkUDPShardedClusterIncBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sc, stop, err := StartShardedCluster(topo, S, 3)
+			sc, stop, err := startStripes(topo, S, 3)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer stop()
-			ctr := sc.NewCounter(1)
+			ctr := newFleet(b, sc, 1)
 			defer ctr.Close()
 			var vals []int64
 			b.ResetTimer()

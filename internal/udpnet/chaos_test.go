@@ -11,8 +11,28 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/network"
 	"repro/internal/wire"
+	"repro/internal/xport"
 )
+
+// startStripes launches S independent loopback deployments of topo, each
+// across `shards` servers, with one stop function for all of them.
+func startStripes(topo *network.Network, S, shards int) ([]*Cluster, func(), error) {
+	return xport.StartStripes(S, func() (*Cluster, func(), error) {
+		return StartCluster(topo, shards)
+	})
+}
+
+// newFleet stripes the deployments with the shared fleet constructor.
+func newFleet(tb testing.TB, clusters []*Cluster, width int) *xport.ShardedCounter {
+	tb.Helper()
+	ctr, err := xport.NewFleet(clusters, width)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctr
+}
 
 // fastRetransmit keeps lossy tests quick without weakening the
 // guarantee being tested.
@@ -146,7 +166,7 @@ func TestUDPChaosExactCountGrid(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sc, stop, err := StartShardedCluster(topo, S, 2)
+					sc, stop, err := startStripes(topo, S, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,10 +177,10 @@ func TestUDPChaosExactCountGrid(t *testing.T) {
 						Seed: int64(S*1000 + k),
 					}
 					for i := 0; i < S; i++ {
-						fastRetransmit(sc.Cluster(i), 25)
-						sc.Cluster(i).SetDialWrapper(faults.Wrapper())
+						fastRetransmit(sc[i], 25)
+						sc[i].SetDialWrapper(faults.Wrapper())
 					}
-					ctr := sc.NewCounter(2)
+					ctr := newFleet(t, sc, 2)
 					defer ctr.Close()
 					ctr.SetRetryPolicy(10, 60*time.Second)
 
@@ -198,8 +218,8 @@ func TestUDPChaosExactCountGrid(t *testing.T) {
 					total := int64(procs * per * k)
 					var got int64
 					for i := 0; i < S; i++ {
-						sc.Cluster(i).SetDialWrapper(nil)
-						sess, err := sc.Cluster(i).NewSession()
+						sc[i].SetDialWrapper(nil)
+						sess, err := sc[i].NewSession()
 						if err != nil {
 							t.Fatal(err)
 						}

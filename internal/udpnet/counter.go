@@ -57,6 +57,9 @@ func (c *Cluster) InWidth() int { return c.net.InWidth() }
 // OutWidth implements xport.Link with the topology's output width.
 func (c *Cluster) OutWidth() int { return c.net.OutWidth() }
 
+// Topology names the deployed network, for fleet names (xport.NewFleet).
+func (c *Cluster) Topology() string { return c.net.Name() }
+
 // Dial implements xport.Link: a session announcing the given client id
 // in every packet it sends.
 func (c *Cluster) Dial(client uint64) (xport.Session, error) {

@@ -146,17 +146,17 @@ func TestMetricsMonotoneUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	const S = 2
-	sc, stop, err := StartShardedCluster(topo, S, 2)
+	sc, stop, err := startStripes(topo, S, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
 	faults := Faults{Drop: 0.25, Dup: 0.2, Reorder: 0.2, Seed: 42}
 	for i := 0; i < S; i++ {
-		fastRetransmit(sc.Cluster(i), 25)
-		sc.Cluster(i).SetDialWrapper(faults.Wrapper())
+		fastRetransmit(sc[i], 25)
+		sc[i].SetDialWrapper(faults.Wrapper())
 	}
-	ctr := sc.NewCounter(2)
+	ctr := newFleet(t, sc, 2)
 	defer ctr.Close()
 	ctr.SetRetryPolicy(10, 60*time.Second)
 
@@ -226,9 +226,9 @@ func TestMetricsMonotoneUnderChaos(t *testing.T) {
 	// And the exact count survives the whole circus: fresh fault-free
 	// reads reconcile to the sequential total.
 	for i := 0; i < S; i++ {
-		sc.Cluster(i).SetDialWrapper(nil)
+		sc[i].SetDialWrapper(nil)
 	}
-	fresh := sc.NewCounter(1)
+	fresh := newFleet(t, sc, 1)
 	defer fresh.Close()
 	total, err := fresh.Read()
 	if err != nil {

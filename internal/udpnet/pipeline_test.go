@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/xport"
 )
 
 func startClusterCfg(t *testing.T, topo *network.Network, shards int, cfg ShardConfig) *Cluster {
@@ -38,7 +39,9 @@ func TestUDPPipelineReorderExactCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sc, stop, err := StartShardedClusterConfig(topo, S, 2, ShardConfig{Workers: 4})
+				sc, stop, err := xport.StartStripes(S, func() (*Cluster, func(), error) {
+					return StartClusterConfig(topo, 2, ShardConfig{Workers: 4})
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,11 +52,11 @@ func TestUDPPipelineReorderExactCount(t *testing.T) {
 					Seed: int64(depth*100 + S),
 				}
 				for i := 0; i < S; i++ {
-					fastRetransmit(sc.Cluster(i), 25)
-					sc.Cluster(i).SetDialWrapper(faults.Wrapper())
-					sc.Cluster(i).SetPipeline(depth)
+					fastRetransmit(sc[i], 25)
+					sc[i].SetDialWrapper(faults.Wrapper())
+					sc[i].SetPipeline(depth)
 				}
-				ctr := sc.NewCounter(2)
+				ctr := newFleet(t, sc, 2)
 				defer ctr.Close()
 				ctr.SetRetryPolicy(10, 60*time.Second)
 
@@ -85,9 +88,9 @@ func TestUDPPipelineReorderExactCount(t *testing.T) {
 				total := int64(procs * per * k)
 				var got int64
 				for i := 0; i < S; i++ {
-					sc.Cluster(i).SetDialWrapper(nil)
-					sc.Cluster(i).SetPipeline(1)
-					sess, err := sc.Cluster(i).NewSession()
+					sc[i].SetDialWrapper(nil)
+					sc[i].SetPipeline(1)
+					sess, err := sc[i].NewSession()
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -63,6 +63,37 @@ func NewCluster(n *network.Network, addrs []string) *Cluster {
 	}
 }
 
+// StartCluster launches one loopback deployment of topo partitioned
+// across `shards` UDP servers and returns the client cluster plus a
+// stop function closing every server — the test/benchmark harness;
+// production deployments build Clusters over real addresses with
+// NewCluster.
+func StartCluster(topo *network.Network, shards int) (*Cluster, func(), error) {
+	return StartClusterConfig(topo, shards, ShardConfig{})
+}
+
+// StartClusterConfig is StartCluster with per-deployment shard tuning
+// (dedup-window sizing).
+func StartClusterConfig(topo *network.Network, shards int, cfg ShardConfig) (*Cluster, func(), error) {
+	var servers []*Shard
+	stop := func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}
+	addrs := make([]string, shards)
+	for i := 0; i < shards; i++ {
+		s, err := StartShardConfig("127.0.0.1:0", topo, i, shards, cfg)
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		servers = append(servers, s)
+		addrs[i] = s.Addr()
+	}
+	return NewCluster(topo, addrs), stop, nil
+}
+
 // SetDialWrapper installs a hook wrapping every socket a new session
 // opens — the packet-path fault-injection point (see Faults) the chaos
 // tests and countbench's E28 loss sweep use to drop, duplicate, reorder

@@ -198,19 +198,12 @@ func TestUDPBatchRPCsMatchTCPFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tservers []*tcpnet.Shard
-	taddrs := make([]string, 3)
-	for i := 0; i < 3; i++ {
-		s, err := tcpnet.StartShard("127.0.0.1:0", ttopo, i, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		tservers = append(tservers, s)
-		taddrs[i] = s.Addr()
+	tcluster, tstop, err := tcpnet.StartCluster(ttopo, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = tservers
-	tsess, err := tcpnet.NewCluster(ttopo, taddrs).NewSession()
+	defer tstop()
+	tsess, err := tcluster.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}

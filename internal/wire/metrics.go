@@ -78,7 +78,7 @@ const (
 
 	// Counter client side.
 	MetricClientRPCs = "countnet_client_rpcs_total"
-	HelpClientRPCs   = "Request frames sent by the counter's sessions, retired sessions folded in (over UDP, retransmitted copies count)."
+	HelpClientRPCs   = "Request frames sent by the counter's sessions, retired sessions folded in (over UDP, retransmitted copies count; over dist, the unit is the emulation's link-level message)."
 
 	MetricClientFlights = "countnet_client_flights_total"
 	HelpClientFlights   = "Pooled flights started: each checks a session out, runs one operation, and checks it back in."
@@ -118,9 +118,6 @@ const (
 
 	MetricClientOutstanding = "countnet_client_outstanding_packets"
 	HelpClientOutstanding   = "Request datagrams currently in flight (sent, not yet matched to a response) across the counter's pooled sessions (UDP only)."
-
-	MetricClientMsgs = "countnet_client_msgs_total"
-	HelpClientMsgs   = "Link-level messages sent inside the in-process emulation — distnet's wire-cost unit (distnet only)."
 
 	// Flight-latency histograms (PR 10). All four _seconds families
 	// record nanoseconds on lock-free log buckets and expose seconds;

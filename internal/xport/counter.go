@@ -12,9 +12,9 @@ import (
 
 // Counter is a deployment-wide coalescing Fetch&Increment client over
 // any Link: concurrent Inc callers entering on the same input wire merge
-// into one in-flight batched pipeline (a single-flight window per wire,
-// the same trick as distnet.Counter), so wide workloads pay one pipeline
-// per window rather than depth+1 round trips per token.
+// into one in-flight batched pipeline (a single-flight window per wire),
+// so wide workloads pay one pipeline per window rather than depth+1 round
+// trips per token.
 //
 // Flights run on sessions checked out of a shared pool (round-robin,
 // configurable width — see NewCounter) instead of one pinned session per

@@ -1,6 +1,7 @@
 package xport
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -41,6 +42,69 @@ func NewShardedCounter(name string, ctrs []*Counter) *ShardedCounter {
 		t.plane.Add(strconv.Itoa(i), c)
 	}
 	return t
+}
+
+// Deployment is what NewFleet asks of one stripe: a Link that builds its
+// own pooled Counter — so a transport's extra series (udpnet's packet,
+// retransmit and pipeline gauges) register exactly as they do for a lone
+// deployment — and names its topology for the fleet name. Every
+// transport's *Cluster satisfies it; comparable admits the nil check.
+type Deployment interface {
+	comparable
+	Link
+	NewCounterPool(width int) *Counter
+	Topology() string
+}
+
+// NewFleet composes S independent deployments of one topology shape
+// into a pid-striped fleet — stripes[i] serves stripe i, each behind its
+// own pooled Counter of the given width (<= 0 defaults per stripe to its
+// input width). The fleet is named "<transport>shard<S>:<topology>".
+// The stripes may share one topology object: a deployment only reads it;
+// the mutable balancer state lives on the stripe's own servers.
+func NewFleet[D Deployment](stripes []D, poolWidth int) (*ShardedCounter, error) {
+	if len(stripes) == 0 {
+		return nil, errors.New("xport: NewFleet with no stripes")
+	}
+	var none D
+	for i, d := range stripes {
+		if d == none {
+			return nil, fmt.Errorf("xport: NewFleet stripe %d is nil", i)
+		}
+		if d.InWidth() != stripes[0].InWidth() || d.OutWidth() != stripes[0].OutWidth() {
+			return nil, fmt.Errorf("xport: NewFleet stripe %d shape differs", i)
+		}
+	}
+	ctrs := make([]*Counter, len(stripes))
+	for i, d := range stripes {
+		ctrs[i] = d.NewCounterPool(poolWidth)
+	}
+	name := fmt.Sprintf("%sshard%d:%s", stripes[0].Transport(), len(stripes), stripes[0].Topology())
+	return NewShardedCounter(name, ctrs), nil
+}
+
+// StartStripes runs start once per stripe — typically a transport's
+// loopback StartCluster — and returns the deployments plus one stop
+// function for all of them; a failed start stops the stripes already
+// up. The test and benchmark harness under every striped fleet.
+func StartStripes[D any](n int, start func() (D, func(), error)) ([]D, func(), error) {
+	stripes := make([]D, 0, n)
+	var stops []func()
+	stop := func() {
+		for _, f := range stops {
+			f()
+		}
+	}
+	for i := 0; i < n; i++ {
+		d, dstop, err := start()
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		stripes = append(stripes, d)
+		stops = append(stops, dstop)
+	}
+	return stripes, stop, nil
 }
 
 // StripeStatus is one stripe's slot in a sharded counter's /status.

@@ -5,10 +5,11 @@
 // input wire merge into one in-flight batched pipeline), the per-counter
 // session pool with health-probed checkout and pool-wide eviction, the
 // rewindable seq-tape retry loop under a RetryPolicy+Backoff budget, the
-// pid-striped ShardedCounter fleet composition, the drain/ErrClosed
-// shutdown semantics and the ctlplane Source registrations all live
-// here, written once — internal/tcpnet, internal/udpnet and
-// internal/inproc are thin link adapters underneath.
+// pid-striped ShardedCounter fleet composition (NewFleet, over any list
+// of deployments), the drain/ErrClosed shutdown semantics and the
+// ctlplane Source registrations all live here, written once —
+// internal/tcpnet, internal/udpnet, internal/inproc and
+// internal/distnet are thin link adapters underneath.
 //
 // The seam is two small interfaces. A Link is a client-side view of one
 // deployment that can dial sessions under a client id; a Session is a
@@ -76,7 +77,8 @@ type Session interface {
 	Read() (int64, error)
 	// RPCs returns the request frames this session has sent — the
 	// shared per-frame cost unit (E25–E28); lossy transports count
-	// retransmitted copies.
+	// retransmitted copies, the message-passing emulation counts
+	// link-level messages.
 	RPCs() int64
 	// SetTape points the session's mutating-frame sequence source at a
 	// flight's rewindable tape (nil restores the session's own
@@ -110,8 +112,8 @@ type PacketSession interface {
 // it plus Session and the whole coalescing/pooling/retry/striping stack
 // above comes for free.
 type Link interface {
-	// Transport names the link type ("tcp", "udp", "inproc") — the
-	// metrics label and /status discriminator.
+	// Transport names the link type ("tcp", "udp", "inproc", "dist") —
+	// the metrics label and /status discriminator.
 	Transport() string
 	// Addrs returns the shard endpoints, for /status.
 	Addrs() []string
