@@ -91,7 +91,9 @@ conformance:
 # (E30): BenchmarkUDPShardWorkers and BenchmarkUDPPipelinedBatch carry
 # the ReportAllocs zero-allocation claim, and the fourth pins
 # BenchmarkHistogramObserve, whose ReportAllocs carries the
-# zero-allocation claim for the latency-histogram record path. The
+# zero-allocation claim for the latency-histogram record path, and the
+# fifth pins BenchmarkCounterFlight (E33), which carries the claim for
+# the Counter above the sessions and fails if it is not 0. The
 # countbench runs prove the three recorded experiments still run and
 # that their panic-checked integer bills hold (E30, E31: identical
 # across tcp/udp/inproc, E32); their envelopes go to a scratch
@@ -104,6 +106,7 @@ BENCH_FLEETS := Sharded|Dedup|UDP
 BENCH_FLEETS_PKGS := ./internal/distnet ./internal/tcpnet ./internal/udpnet
 BENCH_UDP_ALLOCS := BenchmarkUDPShardWorkers|BenchmarkUDPPipelinedBatch
 BENCH_HIST_ALLOCS := BenchmarkHistogramObserve
+BENCH_FLIGHT_ALLOCS := BenchmarkCounterFlight
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -113,6 +116,8 @@ bench-smoke:
 	$(GO) test -bench='$(BENCH_UDP_ALLOCS)' -benchtime=1x -run='^$$' ./internal/udpnet
 	$(call pinned,$(BENCH_HIST_ALLOCS),./internal/ctlplane,Benchmark)
 	$(GO) test -bench='$(BENCH_HIST_ALLOCS)' -benchtime=1x -run='^$$' ./internal/ctlplane
+	$(call pinned,$(BENCH_FLIGHT_ALLOCS),./internal/xport,Benchmark)
+	$(GO) test -bench='$(BENCH_FLIGHT_ALLOCS)' -benchtime=1x -run='^$$' ./internal/xport
 	mkdir -p $(BENCH_OUT)
 	$(GO) run ./cmd/countbench -exp udpspeed -out $(BENCH_OUT)/BENCH_udp.json
 	$(GO) run ./cmd/countbench -exp transports -out $(BENCH_OUT)/BENCH_transports.json

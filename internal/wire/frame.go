@@ -205,11 +205,14 @@ func NextClientID() uint64 { return clientIDs.Add(1) }
 // steered by replies that the shards' dedup windows replay verbatim for
 // already-applied sequences.
 type SeqTape struct {
-	src     *atomic.Uint64
-	used    []uint64
-	next    int
-	rewinds int64
+	src  *atomic.Uint64
+	used []uint64
+	next int
 }
+
+// seqTapeKeep caps the capacity (8 KiB) a Reset tape holds on to: an
+// outlier flight's array is dropped, not pinned by whoever recycles it.
+const seqTapeKeep = 1024
 
 // NewSeqTape starts an empty tape drawing fresh numbers from src.
 func NewSeqTape(src *atomic.Uint64) *SeqTape { return &SeqTape{src: src} }
@@ -228,17 +231,16 @@ func (tp *SeqTape) Take() uint64 {
 	return v
 }
 
-// Rewind restarts the tape for a retry attempt. A rewind of a tape
-// that has recorded nothing (the one before the first attempt) is not
-// counted, so Rewinds reports true retries.
-func (tp *SeqTape) Rewind() {
-	if tp.next > 0 || len(tp.used) > 0 {
-		tp.rewinds++
-	}
-	tp.next = 0
-}
+// Rewind restarts the tape for a retry attempt: the next Take replays
+// the recorded numbers from the first.
+func (tp *SeqTape) Rewind() { tp.next = 0 }
 
-// Rewinds returns how many retry attempts replayed this tape — the
-// control plane's flight-retry count. Tapes are single-goroutine, so
-// callers read this after the flight settles.
-func (tp *SeqTape) Rewinds() int64 { return tp.rewinds }
+// Reset empties the tape for its next flight — every Take after it
+// draws a fresh number — keeping the recorded slice's capacity so a
+// recycled tape records without allocating.
+func (tp *SeqTape) Reset() {
+	tp.next, tp.used = 0, tp.used[:0]
+	if cap(tp.used) > seqTapeKeep {
+		tp.used = nil
+	}
+}

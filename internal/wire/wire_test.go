@@ -278,4 +278,25 @@ func TestSeqTapeRewind(t *testing.T) {
 	if next := tp.Take(); next != first[len(first)-1]+1 {
 		t.Fatalf("post-replay seq = %d, want %d", next, first[len(first)-1]+1)
 	}
+	// A Reset tape replays nothing — it draws fresh numbers into the
+	// capacity it kept — and a rewind of an empty tape is a no-op.
+	tp.Reset()
+	tp.Rewind()
+	if n := testing.AllocsPerRun(10, func() {
+		tp.Reset()
+		for i := 0; i < 4; i++ {
+			if got, want := tp.Take(), src.Load(); got != want {
+				t.Fatalf("seq after Reset = %d, want the fresh %d", got, want)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("a Reset tape allocates %.0f times re-recording within its capacity", n)
+	}
+	// Capacity past seqTapeKeep is dropped at Reset, not pinned.
+	for i := 0; i <= seqTapeKeep; i++ {
+		tp.Take()
+	}
+	if tp.Reset(); cap(tp.used) != 0 {
+		t.Fatalf("Reset kept an outgrown slice of capacity %d", cap(tp.used))
+	}
 }

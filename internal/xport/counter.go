@@ -43,6 +43,7 @@ type Counter struct {
 	budget      time.Duration
 	backoff     wire.Backoff   // jittered redial pacing between attempts
 	inflight    sync.WaitGroup // flights holding pool sessions
+	free        []*scratch     // recycled flight scratch, at most pool.width
 
 	// Control-plane state: a lifecycle word for /health (0 live,
 	// 1 draining, 2 closed), bare atomics the flight and landing paths
@@ -56,8 +57,9 @@ type Counter struct {
 	reg          *ctlplane.Registry
 
 	// Latency observability: lock-free log-bucketed histograms observed
-	// on the flight path (zero frames, zero allocations — the bill stays
-	// bit-identical to the uninstrumented counter) plus the bounded
+	// on the flight path (an Observe sends no frame and allocates
+	// nothing; the path as a whole is allocation-free in steady state
+	// only, its scratch and windows being recycled) plus the bounded
 	// ring of recent flights /debug/flights serves.
 	histFlight   *ctlplane.Histogram // end-to-end flight latency
 	histAttempt  *ctlplane.Histogram // per-attempt wire RTT
@@ -91,20 +93,73 @@ const (
 	stateClosed   = 2
 )
 
+// scratch is one flight's recyclable bookkeeping, owned exclusively
+// from takeoff to landing: the rewindable tape (its recorded-seq slice
+// kept at capacity) and the one-value buffer Dec lands in.
+type scratch struct {
+	tape *wire.SeqTape
+	one  [1]int64
+}
+
 // comb is the per-input-wire coalescing state.
 type comb struct {
 	mu     sync.Mutex
 	flying bool
 	next   *cwindow
+	spare  []*cwindow // recycled windows, at most maxSpareWindows
 	_      [4]int64
 }
 
-// cwindow is one pooled group of coalesced Inc calls.
+// A wire in steady state has one window filling, one flying and one
+// being read, so two spares cover it. A spare's vals is never longer
+// than the callers that once parked in it, so it needs no bound.
+const maxSpareWindows = 2
+
+// cwindow is one pooled group of coalesced Inc calls. The lander arms
+// refs with the caller count before waking them; the last caller to
+// read its value hands the window back to the comb, and only then is
+// landed re-armed — after every Wait of the previous round returned,
+// which is the condition sync.WaitGroup sets for reuse.
 type cwindow struct {
-	k    int64
-	vals []int64
-	err  error
-	done chan struct{}
+	k      int64
+	vals   []int64
+	err    error
+	landed sync.WaitGroup
+	refs   atomic.Int64
+}
+
+// join parks the caller in the wire's filling window (cb.mu is held on
+// entry, released inside) until the window's flight has landed.
+func (t *Counter) join(cb *comb) (int64, error) {
+	w := cb.next
+	if w == nil {
+		if n := len(cb.spare); n > 0 {
+			w, cb.spare = cb.spare[n-1], cb.spare[:n-1]
+		} else {
+			w = new(cwindow)
+		}
+		w.landed.Add(1)
+		cb.next = w
+	}
+	idx := w.k
+	w.k++
+	cb.mu.Unlock()
+	parked := time.Now()
+	w.landed.Wait()
+	t.histCoalesce.Observe(time.Since(parked).Nanoseconds())
+	v, err := int64(0), w.err
+	if err == nil {
+		v = w.vals[idx]
+	}
+	if w.refs.Add(-1) == 0 {
+		w.k, w.err = 0, nil
+		cb.mu.Lock()
+		if len(cb.spare) < maxSpareWindows {
+			cb.spare = append(cb.spare, w)
+		}
+		cb.mu.Unlock()
+	}
+	return v, err
 }
 
 // NewCounter builds the coalescing counter client over a session pool
@@ -264,26 +319,12 @@ func (t *Counter) Inc(pid int) (int64, error) {
 	cb := &t.combs[in]
 	cb.mu.Lock()
 	if cb.flying {
-		w := cb.next
-		if w == nil {
-			w = &cwindow{done: make(chan struct{})}
-			cb.next = w
-		}
-		idx := w.k
-		w.k++
-		cb.mu.Unlock()
-		parked := time.Now()
-		<-w.done
-		t.histCoalesce.Observe(time.Since(parked).Nanoseconds())
-		if w.err != nil {
-			return 0, w.err
-		}
-		return w.vals[idx], nil
+		return t.join(cb)
 	}
 	cb.flying = true
 	cb.mu.Unlock()
 	var v int64
-	err := t.flight(flightMeta{op: "inc", wire: in, tokens: 1}, func(sess Session) error {
+	err := t.flight(flightMeta{op: "inc", wire: in, tokens: 1}, func(sess Session, _ *scratch) error {
 		var ferr error
 		v, ferr = sess.Inc(pid)
 		return ferr
@@ -297,12 +338,16 @@ func (t *Counter) Inc(pid int) (int64, error) {
 
 // Dec revokes the counter's most recent increment on the antitoken's exit
 // wire (a one-element batched pipeline on a pooled session).
-func (t *Counter) Dec(pid int) (int64, error) {
-	vals, err := t.DecBatch(pid, 1, nil)
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
+func (t *Counter) Dec(pid int) (v int64, err error) {
+	in := pid % t.link.InWidth()
+	err = t.flight(flightMeta{op: "dec-batch", wire: in, tokens: 1}, func(sess Session, sc *scratch) error {
+		vals, ferr := sess.Batch(in, 1, true, sc.one[:0])
+		if ferr == nil {
+			v = vals[0]
+		}
+		return ferr
+	})
+	return v, err
 }
 
 // IncBatch claims k values as one batched pipeline on a pooled session,
@@ -327,7 +372,7 @@ func (t *Counter) batch(pid, k int, anti bool, dst []int64) ([]int64, error) {
 	if anti {
 		op = "dec-batch"
 	}
-	err := t.flight(flightMeta{op: op, wire: in, tokens: int64(k)}, func(sess Session) error {
+	err := t.flight(flightMeta{op: op, wire: in, tokens: int64(k)}, func(sess Session, _ *scratch) error {
 		var ferr error
 		dst, ferr = sess.Batch(in, int64(k), anti, dst[:base])
 		return ferr
@@ -342,7 +387,7 @@ func (t *Counter) batch(pid, k int, anti bool, dst []int64) ([]int64, error) {
 // cells over a pooled session — the exact-count read side.
 func (t *Counter) Read() (int64, error) {
 	var total int64
-	err := t.flight(flightMeta{op: "read", wire: -1}, func(sess Session) error {
+	err := t.flight(flightMeta{op: "read", wire: -1}, func(sess Session, _ *scratch) error {
 		var ferr error
 		total, ferr = sess.Read()
 		return ferr
@@ -355,32 +400,42 @@ func (t *Counter) Read() (int64, error) {
 // sessions under the counter's attempt/deadline budget — the transparent
 // self-healing path. Sequence numbers are drawn through a tape so every
 // retry re-sends the same (client, seq) pairs and the shards' dedup
-// windows make the retry exactly-once. Close fails new flights with
-// ErrClosed, waits for running ones, and a flight mid-retry observes it
-// between attempts.
+// windows make the retry exactly-once; the tape comes emptied off the
+// free list with the flight's scratch and goes back at landing (a burst
+// wider than the pool makes its own and drops it). Close fails new
+// flights with ErrClosed, waits for running ones, and a flight mid-retry
+// observes it between attempts.
 //
 // Every completed flight lands in the latency histograms and the
 // /debug/flights ring. Both are local atomics/mutexed memory — no
 // frames, so the wire bill is bit-identical to the uninstrumented
 // counter (pinned by the conformance frame-bill gate).
-func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
+func (t *Counter) flight(meta flightMeta, op func(Session, *scratch) error) (err error) {
+	var sc *scratch
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return ErrClosed
 	}
 	attempts, budget, backoff := t.maxAttempts, t.budget, t.backoff
+	if n := len(t.free); n > 0 {
+		sc, t.free = t.free[n-1], t.free[:n-1]
+	}
 	t.inflight.Add(1)
 	t.mu.Unlock()
 	t.flights.Add(1)
 	t.inflightN.Add(1)
 	defer t.inflightN.Add(-1)
 	defer t.inflight.Done()
+	if sc == nil {
+		sc = &scratch{tape: wire.NewSeqTape(&t.seqs)}
+	}
 
 	var fs flightStats
 	start := time.Now()
+	last := start // the latest clock reading: the start, then each attempt's end
 	defer func() {
-		d := time.Since(start)
+		d := last.Sub(start)
 		t.histFlight.Observe(d.Nanoseconds())
 		t.histAttempts.Observe(int64(fs.attempts))
 		outcome := "ok"
@@ -398,16 +453,21 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 			Retransmits: fs.retrans,
 			Outcome:     outcome,
 		})
+		sc.tape.Reset()
+		t.mu.Lock()
+		if len(t.free) < t.pool.width {
+			t.free = append(t.free, sc)
+		}
+		t.mu.Unlock()
 	}()
 
-	tape := wire.NewSeqTape(&t.seqs)
 	var deadline time.Time
 	for attempt := 1; ; attempt++ {
 		if attempt > 1 {
 			t.retries.Add(1)
 		}
 		fs.attempts = attempt
-		err = t.attempt(op, tape, &fs)
+		last, err = t.attempt(op, sc, &fs, last)
 		if err == nil || errors.Is(err, ErrClosed) {
 			return err
 		}
@@ -425,8 +485,8 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 		}
 		if budget > 0 {
 			if deadline.IsZero() {
-				deadline = time.Now().Add(budget)
-			} else if time.Now().After(deadline) {
+				deadline = last.Add(budget)
+			} else if last.After(deadline) {
 				return err
 			}
 		}
@@ -434,15 +494,18 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 		// counters that watched the same shard die does not storm it
 		// back down the moment it returns.
 		time.Sleep(backoff.Delay(attempt))
+		last = time.Now()
 	}
 }
 
-func (t *Counter) attempt(op func(Session) error, tape *wire.SeqTape, fs *flightStats) error {
-	checkoutStart := time.Now()
+// attempt is one try of a flight, its checkout timed from t0; it
+// returns the clock at its end, which on success is the flight's end.
+func (t *Counter) attempt(op func(Session, *scratch) error, sc *scratch, fs *flightStats, t0 time.Time) (time.Time, error) {
 	sess, err := t.pool.checkout()
-	t.histCheckout.Observe(time.Since(checkoutStart).Nanoseconds())
+	t1 := time.Now()
+	t.histCheckout.Observe(t1.Sub(t0).Nanoseconds())
 	if err != nil {
-		return err
+		return t1, err
 	}
 	rpcs0 := sess.RPCs()
 	ps, isPacket := sess.(PacketSession)
@@ -450,11 +513,11 @@ func (t *Counter) attempt(op func(Session) error, tape *wire.SeqTape, fs *flight
 	if isPacket {
 		retrans0 = ps.Retransmits()
 	}
-	tape.Rewind()
-	sess.SetTape(tape)
-	attemptStart := time.Now()
-	err = op(sess)
-	t.histAttempt.Observe(time.Since(attemptStart).Nanoseconds())
+	sc.tape.Rewind()
+	sess.SetTape(sc.tape)
+	err = op(sess, sc)
+	t2 := time.Now()
+	t.histAttempt.Observe(t2.Sub(t1).Nanoseconds())
 	sess.SetTape(nil)
 	// Bill the attempt while the session is still exclusively ours —
 	// after checkin another flight may bump its counters.
@@ -464,10 +527,10 @@ func (t *Counter) attempt(op func(Session) error, tape *wire.SeqTape, fs *flight
 	}
 	if err != nil {
 		t.pool.evict(sess)
-		return err
+		return t2, err
 	}
 	t.pool.checkin(sess)
-	return nil
+	return t2, nil
 }
 
 // land drains the windows that pooled up behind the owner's flight, one
@@ -486,12 +549,13 @@ func (t *Counter) land(cb *comb, in int) {
 		cb.mu.Unlock()
 		t.windows.Add(1)
 		t.windowTokens.Add(w.k)
-		w.err = t.flight(flightMeta{op: "window", wire: in, tokens: w.k}, func(sess Session) error {
+		w.err = t.flight(flightMeta{op: "window", wire: in, tokens: w.k}, func(sess Session, _ *scratch) error {
 			var ferr error
 			w.vals, ferr = sess.Batch(in, w.k, false, w.vals[:0])
 			return ferr
 		})
-		close(w.done)
+		w.refs.Store(w.k)
+		w.landed.Done()
 	}
 }
 
@@ -598,6 +662,7 @@ func (p *pool) checkout() (Session, error) {
 		sess := p.idle[0]
 		n := len(p.idle)
 		copy(p.idle, p.idle[1:])
+		p.idle[n-1] = nil // or the array keeps a retired session reachable
 		p.idle = p.idle[:n-1]
 		if sess.Healthy() {
 			p.mu.Unlock()

@@ -27,7 +27,7 @@ type fakeLink struct {
 	failOps  int            // the next n ops send half their frames (seq drawn, rpc billed), then fail unapplied
 	sessions []*fakeSession // every session dialed, in dial order
 
-	gate    chan struct{} // non-nil: a single-token Inc parks here until it is closed
+	gate    chan struct{} // non-nil: a single-token Inc parks here until it receives (or gate is closed)
 	entered chan struct{} // receives once per Inc parked on gate
 }
 
@@ -52,6 +52,7 @@ type fakeSession struct {
 	tape   *wire.SeqTape
 	rpcs   atomic.Int64
 	seqs   []uint64 // every sequence number drawn, in order
+	one    [1]int64 // Inc's value lands here, as in a real session's scratch
 	closed bool
 }
 
@@ -89,7 +90,7 @@ func (s *fakeSession) Inc(int) (int64, error) {
 		s.l.entered <- struct{}{}
 		<-s.l.gate
 	}
-	vals, err := s.op(1, false, nil)
+	vals, err := s.op(1, false, s.one[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -238,6 +239,16 @@ func TestRetryEvictsAndResendsIdenticalTape(t *testing.T) {
 	if len(dead.seqs) != 3 || len(fresh.seqs) != 6 || !slices.Equal(fresh.seqs[:3], dead.seqs) {
 		t.Fatalf("retry drew %v after the failed attempt drew %v — not a replay", fresh.seqs, dead.seqs)
 	}
+	// Checkout vacates the idle slot it pops, so the backing array does
+	// not keep a session reachable after the pool retires it.
+	sess, err := ctr.pool.checkout()
+	if err != nil || sess != Session(fresh) {
+		t.Fatalf("checkout = %v, %v; want the replacement session", sess, err)
+	}
+	if idle := ctr.pool.idle[:1]; idle[0] != nil {
+		t.Fatalf("popped idle slot still holds %v", idle[0])
+	}
+	ctr.pool.checkin(sess)
 	// The evicted session's bill is folded in, not lost with it.
 	if got := ctr.RPCs(); got != 2 {
 		t.Fatalf("RPCs() = %d, want the failed attempt's 1 plus the retry's 1", got)
@@ -258,33 +269,22 @@ func TestCloseDuringFlightFailsWindowCallers(t *testing.T) {
 	l := &fakeLink{in: 1, out: 2, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
 	ctr := NewCounter(l, 1)
 
-	type result struct {
-		v   int64
-		err error
-	}
-	owner := make(chan result, 1)
+	owner := make(chan incResult, 1)
 	go func() {
 		v, err := ctr.Inc(0)
-		owner <- result{v, err}
+		owner <- incResult{v, err}
 	}()
 	<-l.entered // the owner's flight is parked inside the link
 
 	const parked = 3
-	window := make(chan result, parked)
+	window := make(chan incResult, parked)
 	for i := 0; i < parked; i++ {
 		go func() {
 			v, err := ctr.Inc(0)
-			window <- result{v, err}
+			window <- incResult{v, err}
 		}()
 	}
-	cb := &ctr.combs[0]
-	for pooled := int64(0); pooled < parked; runtime.Gosched() {
-		cb.mu.Lock()
-		if cb.next != nil {
-			pooled = cb.next.k
-		}
-		cb.mu.Unlock()
-	}
+	awaitPooled(ctr, parked)
 
 	closed := make(chan struct{})
 	go func() {
@@ -304,6 +304,14 @@ func TestCloseDuringFlightFailsWindowCallers(t *testing.T) {
 			t.Fatalf("window caller got %d, %v; want ErrClosed", r.v, r.err)
 		}
 	}
+	// The stranded window went back to the comb like any other: its last
+	// reader returned it, emptied, before its Inc returned.
+	cb := &ctr.combs[0]
+	cb.mu.Lock()
+	if len(cb.spare) != 1 || cb.spare[0].k != 0 || cb.spare[0].err != nil {
+		t.Errorf("spare windows after the stranded one was read: %+v", cb.spare)
+	}
+	cb.mu.Unlock()
 	<-closed
 	if h := ctr.Health(); h.Live || h.Detail != "closed" {
 		t.Fatalf("health after Close = %+v", h)
