@@ -63,9 +63,11 @@ race:
 # scraper-vs-writers race consistency check, the Prometheus histogram
 # exposition format, the bounded flight ring, and the
 # zero-added-frames latency gate replaying E31's exact bill on every
-# frame-speaking transport).
-RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged
-RESILIENCE_PKGS := ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance
+# frame-speaking transport), and the serving seam's own table tests
+# (TestShardCore*: the one frame executor's refusal surface, replay and
+# horizon refusal, cell-id packing, and Walk-over-cores equivalence).
+RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged|TestShardCore
+RESILIENCE_PKGS := ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance ./internal/xport
 
 resilience:
 	$(call pinned,$(RESILIENCE),$(RESILIENCE_PKGS),Test|Fuzz)

@@ -33,7 +33,7 @@ import (
 // one column a registration cannot carry. Every registered name MUST
 // have an entry; every entry MUST match a registered name.
 var healthy = map[string]string{
-	"countnet_shard_frames_total":             "grows with load; fleet rate tracks client rpcs",
+	"countnet_shard_frames_total":             "summed over shards = client rpcs_total on a lossless link; the gap is frames lost or refused",
 	"countnet_shard_conns_open":               "= bound client sessions; 0 on an idle shard",
 	"countnet_shard_conns_total":              "monotone; fast growth = reconnect churn",
 	"countnet_shard_packets_total":            "grows with load (UDP datagrams in)",

@@ -3,9 +3,13 @@ package ctlplane
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -13,6 +17,57 @@ import (
 	"testing"
 	"time"
 )
+
+// The Prometheus identifier grammars validName implements — the
+// reference the predicate is held to, and what the exposition-format
+// validator below checks scraped names against.
+var (
+	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
+
+// validName accepts exactly what the two grammars accept, on the edge
+// cases and on every metric name the transports register (the Metric*
+// constants, read from wire's source: wire imports this package, so the
+// test cannot import it back).
+func TestValidNameMatchesGrammar(t *testing.T) {
+	names := []string{
+		"", "_", ":", "a", "A9", "9a", "0", "a:b", ":a", "a_b_total", "__name__",
+		"a-b", "a b", "a.b", "a\n", "\na", "é", "aé", "a\x00", "shard", "le", "transport",
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "../wire/metrics.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := 0
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || !strings.HasPrefix(spec.Names[0].Name, "Metric") {
+			return true
+		}
+		name, err := strconv.Unquote(spec.Values[0].(*ast.BasicLit).Value)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Names[0].Name, err)
+		}
+		if !validName(name, true) || !validName(name, false) {
+			t.Errorf("registered metric name %q refused", name)
+		}
+		names = append(names, name)
+		registered++
+		return true
+	})
+	if registered < 40 {
+		t.Fatalf("found %d Metric* constants in wire/metrics.go, want the whole catalogue", registered)
+	}
+	for _, name := range names {
+		if got, want := validName(name, true), metricNameRe.MatchString(name); got != want {
+			t.Errorf("validName(%q, metric) = %v, grammar says %v", name, got, want)
+		}
+		if got, want := validName(name, false), labelNameRe.MatchString(name); got != want {
+			t.Errorf("validName(%q, label) = %v, grammar says %v", name, got, want)
+		}
+	}
+}
 
 // fakeSource is a hand-rolled Source for plane-level tests.
 type fakeSource struct {

@@ -56,7 +56,7 @@ type fleetMember struct {
 // NewFleet builds an empty aggregate named name; member samples gain
 // the label labelKey="<member value>".
 func NewFleet(name, labelKey string) *Fleet {
-	if !labelNameRe.MatchString(labelKey) {
+	if !validName(labelKey, false) {
 		panic(fmt.Sprintf("ctlplane: fleet %s: invalid label name %q", name, labelKey))
 	}
 	return &Fleet{name: name, labelKey: labelKey}

@@ -19,14 +19,12 @@ package inproc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/balancer"
 	"repro/internal/ctlplane"
 	"repro/internal/network"
 	"repro/internal/wire"
@@ -66,17 +64,13 @@ type ShardConfig struct {
 	Dedup wire.DedupConfig
 }
 
-// Shard is one in-memory balancer server: it owns the balancers and
-// counter cells assigned to it and serves the same STEP/CELL/STEPN/
-// CELLN/READ semantics as a tcpnet shard, deduplicating seq-numbered
-// frames per client. Exchanges are direct calls; the balancer and cell
-// state is safe for concurrent sessions exactly like the socket
-// transports' shared server state.
+// Shard is one in-memory balancer server: the shared serving core
+// (xport.ShardCore) — the same balancers, counter cells, dedup windows
+// and frame executor a tcpnet shard runs — behind a link that is a
+// direct call. The core's state is safe for concurrent sessions exactly
+// like the socket transports' shared server state.
 type Shard struct {
-	bals  map[int32]*balancer.PQ
-	cells map[int32]*atomic.Int64
-	dedup *wire.Dedup
-
+	core   *xport.ShardCore
 	closed atomic.Bool
 
 	// Control-plane state, mirroring the socket shards: the shard's
@@ -86,7 +80,6 @@ type Shard struct {
 	shards    int
 	netName   string
 	reg       *ctlplane.Registry
-	frames    atomic.Int64
 	sessions  atomic.Int64 // currently bound sessions (the conns gauge)
 	sessTotal atomic.Int64
 }
@@ -95,32 +88,16 @@ type Shard struct {
 // shards); cells are initialized to their wire index per §1.1.
 func newShard(topo *network.Network, index, shards int, cfg ShardConfig) *Shard {
 	s := &Shard{
-		bals:    make(map[int32]*balancer.PQ),
-		cells:   make(map[int32]*atomic.Int64),
-		dedup:   wire.NewDedup(cfg.Dedup),
+		core:    xport.NewShardCore(topo, index, shards, cfg.Dedup),
 		index:   index,
 		shards:  shards,
 		netName: topo.Name(),
 		reg:     ctlplane.NewRegistry(),
 	}
 	labels := []ctlplane.Label{{Key: "transport", Value: "inproc"}, {Key: "shard", Value: strconv.Itoa(index)}}
-	s.reg.Counter(wire.MetricShardFrames, wire.HelpShardFrames, s.frames.Load, labels...)
+	s.core.RegisterMetrics(s.reg, labels...)
 	s.reg.Gauge(wire.MetricShardConnsOpen, wire.HelpShardConnsOpen, s.sessions.Load, labels...)
 	s.reg.Counter(wire.MetricShardConns, wire.HelpShardConns, s.sessTotal.Load, labels...)
-	s.dedup.RegisterMetrics(s.reg, labels...)
-	for id := 0; id < topo.Size(); id++ {
-		if id%shards == index {
-			nd := topo.Node(id)
-			s.bals[int32(id)] = balancer.NewInit(nd.In(), nd.Out(), nd.Balancer().Init())
-		}
-	}
-	for w := 0; w < topo.OutWidth(); w++ {
-		if w%shards == index {
-			c := &atomic.Int64{}
-			c.Store(int64(w))
-			s.cells[int32(w)] = c
-		}
-	}
 	return s
 }
 
@@ -168,8 +145,8 @@ func (s *Shard) Status() any {
 		Shard:     s.index,
 		Shards:    s.shards,
 		Network:   s.netName,
-		Balancers: len(s.bals),
-		Cells:     len(s.cells),
+		Balancers: s.core.Balancers(),
+		Cells:     s.core.Cells(),
 		Sessions:  int(s.sessions.Load()),
 	}
 }
@@ -178,73 +155,18 @@ func (s *Shard) Status() any {
 // metric views.
 func (s *Shard) Gather() []ctlplane.Sample { return s.reg.Gather() }
 
-// apply executes one frame against the shard's balancer and cell state;
-// ok=false is a protocol violation (unowned id, empty batch). The
-// semantics are identical to the socket shards' apply — including the
-// CELL id packing id = wire | stride<<16.
-func (s *Shard) apply(f *wire.Frame) (val int64, ok bool) {
-	switch f.Op {
-	case wire.OpStep, wire.OpStep2:
-		b, ok := s.bals[f.ID]
-		if !ok {
-			return 0, false
-		}
-		return int64(b.Step()), true
-	case wire.OpStepN, wire.OpStepN2:
-		b, ok := s.bals[f.ID]
-		if !ok {
-			return 0, false
-		}
-		if f.N > 0 {
-			return b.StepN(f.N), true
-		}
-		return b.StepAntiN(-f.N), true
-	case wire.OpRead:
-		c, ok := s.cells[f.ID]
-		if !ok {
-			return 0, false
-		}
-		return c.Load(), true
-	case wire.OpCell, wire.OpCell2, wire.OpCellN, wire.OpCellN2:
-		cw := f.ID & 0xffff
-		stride := int64(f.ID >> 16)
-		c, ok := s.cells[cw]
-		if !ok {
-			return 0, false
-		}
-		if f.Op == wire.OpCell || f.Op == wire.OpCell2 {
-			return c.Add(stride) - stride, true
-		}
-		return c.Add(stride * f.N), true
-	}
-	return 0, false
-}
-
-// serve handles one frame under the session's dedup binding: mutating
-// frames go through the client's exactly-once window (an
-// already-applied sequence is answered from the record instead of
-// re-executed), READ applies directly.
+// serve answers one frame under the session's dedup binding — the whole
+// link: a closed shard refuses the call, the core does the rest.
 func (s *Shard) serve(cl *wire.DedupEntry, f *wire.Frame) (int64, error) {
 	if s.closed.Load() {
 		return 0, errShardClosed
 	}
-	s.frames.Add(1)
-	switch f.Op {
-	case wire.OpStepN, wire.OpCellN, wire.OpStepN2, wire.OpCellN2:
-		if f.N == 0 || f.N == math.MinInt64 {
-			return 0, fmt.Errorf("inproc: protocol violation: count %d", f.N)
-		}
+	if !s.core.Check(f, cl != nil) {
+		return 0, fmt.Errorf("inproc: protocol violation: op %d id %d count %d", f.Op, f.ID, f.N)
 	}
-	var val int64
-	var ok bool
-	switch f.Op {
-	case wire.OpStep2, wire.OpCell2, wire.OpStepN2, wire.OpCellN2:
-		val, ok = cl.Do(f.Seq, func() (int64, bool) { return s.apply(f) })
-	default:
-		val, ok = s.apply(f)
-	}
+	val, ok := s.core.Exec(cl, f)
 	if !ok {
-		return 0, fmt.Errorf("inproc: protocol violation: op %d id %d", f.Op, f.ID)
+		return 0, fmt.Errorf("inproc: seq %d is past the dedup horizon", f.Seq)
 	}
 	return val, nil
 }
@@ -419,7 +341,7 @@ func (c *Cluster) newSession(client uint64) (*Session, error) {
 			s.release(i)
 			return nil, fmt.Errorf("inproc: dial shard %d: %w", i, errShardClosed)
 		}
-		s.entries[i] = sh.dedup.Bind(client)
+		s.entries[i] = sh.core.Dedup().Bind(client)
 		sh.sessions.Add(1)
 		sh.sessTotal.Add(1)
 	}
@@ -447,7 +369,7 @@ type Session struct {
 func (s *Session) release(n int) {
 	for i := 0; i < n; i++ {
 		if s.entries[i] != nil {
-			s.c.shards[i].dedup.Release(s.entries[i])
+			s.c.shards[i].core.Dedup().Release(s.entries[i])
 			s.c.shards[i].sessions.Add(-1)
 			s.entries[i] = nil
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // The bench/ workload inproc-k1 end to end — C(8,24) over 3 shards, one
@@ -48,5 +49,41 @@ func TestInprocCounterZeroAlloc(t *testing.T) {
 	}
 	if got, err := ctr.Read(); err != nil || got != issued {
 		t.Fatalf("Read() = %d, %v; want %d", got, err, issued)
+	}
+}
+
+// The in-memory shard's control-plane view, through the handle bench/
+// scrapes (Cluster.Shard(i).Gather()): a served frame is one the core
+// answered, so the shards' frames add up to the client's rpcs exactly.
+func TestInprocShardFramesMatchClientRPCs(t *testing.T) {
+	topo, err := core.New(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, stop, err := StartCluster(topo, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	ctr := cluster.NewCounter()
+	defer ctr.Close()
+	for pid := 0; pid < 8; pid++ {
+		if _, err := ctr.Inc(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ctr.IncBatch(3, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	var served int64
+	for i := 0; i < 3; i++ {
+		for _, sm := range cluster.Shard(i).Gather() {
+			if sm.Name == wire.MetricShardFrames {
+				served += sm.Value
+			}
+		}
+	}
+	if served == 0 || served != ctr.RPCs() {
+		t.Fatalf("shards served %d frames, the client sent %d rpcs", served, ctr.RPCs())
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctlplane"
+	"repro/internal/wire"
 	"repro/internal/xport"
 )
 
@@ -108,6 +109,22 @@ func TestShardControlPlaneEndpoints(t *testing.T) {
 		if _, err := ctr.Inc(pid); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := ctr.IncBatch(3, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A served frame is one the core answered, so with nothing lost the
+	// shards' frames add up to the client's rpcs — HELLOs are neither.
+	var served int64
+	for _, s := range shards {
+		for _, sm := range s.Gather() {
+			if sm.Name == wire.MetricShardFrames {
+				served += sm.Value
+			}
+		}
+	}
+	if served != ctr.RPCs() {
+		t.Fatalf("shards served %d frames, the client sent %d rpcs", served, ctr.RPCs())
 	}
 
 	code, body = scrape(t, base+"/status")

@@ -440,7 +440,7 @@ func TestDedupConfigThreaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.dedup.Config(); got.Window != cfg.Dedup.Window || got.Clients != cfg.Dedup.Clients {
+	if got := s.core.Dedup().Config(); got.Window != cfg.Dedup.Window || got.Clients != cfg.Dedup.Clients {
 		t.Fatalf("shard dedup config = %+v, want %+v", got, cfg.Dedup)
 	}
 	cluster := NewCluster(topo, []string{s.Addr()})

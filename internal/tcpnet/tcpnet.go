@@ -67,14 +67,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/balancer"
 	"repro/internal/ctlplane"
 	"repro/internal/network"
 	"repro/internal/wire"
@@ -102,13 +100,13 @@ type ShardConfig struct {
 	Dedup wire.DedupConfig
 }
 
-// Shard is one balancer server: it owns the state of the balancers and
-// counter cells assigned to it and serves STEP/CELL/STEPN/CELLN requests
-// over TCP, deduplicating v2 frames per client.
+// Shard is one balancer server: the TCP link — listener, connections,
+// framing — over the shared serving core (xport.ShardCore), which owns
+// the balancers, counter cells and per-client dedup windows assigned to
+// it and executes every frame.
 type Shard struct {
 	ln    net.Listener
-	bals  map[int32]*balancer.PQ
-	cells map[int32]*atomic.Int64
+	core  *xport.ShardCore
 	wg    sync.WaitGroup
 	done  chan struct{}
 	mu    sync.Mutex
@@ -116,21 +114,12 @@ type Shard struct {
 
 	// Control-plane state: the shard's slot in the partition (for
 	// /status), its registry of read-side metric views (for /metrics),
-	// and two bare atomics the serve loops bump.
+	// and the accepted-connections total.
 	index      int
 	shards     int
 	netName    string
 	reg        *ctlplane.Registry
-	frames     atomic.Int64
 	connsTotal atomic.Int64
-
-	// dedup is the per-client exactly-once state: bounded (seq, reply)
-	// windows shared by every connection that HELLOs the same client id
-	// (see wire.Dedup). Entries are pinned against LRU eviction while
-	// any bound connection lives, so registration churn from other
-	// clients can never push out the window a live Counter's retry
-	// depends on.
-	dedup *wire.Dedup
 }
 
 // StartShard launches a shard on addr (use "127.0.0.1:0" for tests) with
@@ -153,38 +142,22 @@ func StartShardConfig(addr string, topo *network.Network, index, shards int, cfg
 	}
 	s := &Shard{
 		ln:      ln,
-		bals:    make(map[int32]*balancer.PQ),
-		cells:   make(map[int32]*atomic.Int64),
+		core:    xport.NewShardCore(topo, index, shards, cfg.Dedup),
 		done:    make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
-		dedup:   wire.NewDedup(cfg.Dedup),
 		index:   index,
 		shards:  shards,
 		netName: topo.Name(),
 		reg:     ctlplane.NewRegistry(),
 	}
 	labels := []ctlplane.Label{{Key: "transport", Value: "tcp"}, {Key: "shard", Value: strconv.Itoa(index)}}
-	s.reg.Counter(wire.MetricShardFrames, wire.HelpShardFrames, s.frames.Load, labels...)
+	s.core.RegisterMetrics(s.reg, labels...)
 	s.reg.Gauge(wire.MetricShardConnsOpen, wire.HelpShardConnsOpen, func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return int64(len(s.conns))
 	}, labels...)
 	s.reg.Counter(wire.MetricShardConns, wire.HelpShardConns, s.connsTotal.Load, labels...)
-	s.dedup.RegisterMetrics(s.reg, labels...)
-	for id := 0; id < topo.Size(); id++ {
-		if id%shards == index {
-			nd := topo.Node(id)
-			s.bals[int32(id)] = balancer.NewInit(nd.In(), nd.Out(), nd.Balancer().Init())
-		}
-	}
-	for w := 0; w < topo.OutWidth(); w++ {
-		if w%shards == index {
-			c := &atomic.Int64{}
-			c.Store(int64(w))
-			s.cells[int32(w)] = c
-		}
-	}
 	s.wg.Add(1)
 	go s.accept()
 	return s, nil
@@ -257,8 +230,8 @@ func (s *Shard) Status() any {
 		Shard:     s.index,
 		Shards:    s.shards,
 		Network:   s.netName,
-		Balancers: len(s.bals),
-		Cells:     len(s.cells),
+		Balancers: s.core.Balancers(),
+		Cells:     s.core.Cells(),
 		Conns:     open,
 	}
 }
@@ -309,114 +282,51 @@ func (s *Shard) accept() {
 	}
 }
 
-// serve handles one client connection until EOF or protocol violation.
+// serve handles one client connection until EOF or protocol violation:
+// it owns the connection's HELLO binding — entries are pinned against
+// LRU eviction while any bound connection lives, so registration churn
+// from other clients can never push out the window a live Counter's
+// retry depends on — and hands every other frame to the core.
 func (s *Shard) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	defer s.untrack(conn)
+	dedup := s.core.Dedup()
 	var buf [wire.MaxFrameLen]byte
 	var resp [8]byte
 	var f wire.Frame
 	var cl *wire.DedupEntry // bound by HELLO; required for v2 mutating frames
 	defer func() {
 		if cl != nil {
-			s.dedup.Release(cl)
+			dedup.Release(cl)
 		}
 	}()
 	for {
 		if err := wire.ReadFrame(conn, &buf, &f); err != nil {
 			return
 		}
-		s.frames.Add(1)
-		switch f.Op {
-		case wire.OpStepN, wire.OpCellN, wire.OpStepN2, wire.OpCellN2:
-			// Protocol violations: an empty batch, or math.MinInt64
-			// (whose negation overflows back to itself and would panic
-			// StepAntiN instead of dropping the connection).
-			if f.N == 0 || f.N == math.MinInt64 {
-				return
-			}
-		}
-		var val int64
-		var ok bool
-		switch f.Op {
-		case wire.OpHello:
+		if f.Op == wire.OpHello {
 			// Bind the connection to its client's dedup window;
 			// fire-and-forget (no reply), so registration costs no
 			// round trip.
 			if cl != nil {
-				s.dedup.Release(cl)
+				dedup.Release(cl)
 			}
-			cl = s.dedup.Bind(f.Client)
+			cl = dedup.Bind(f.Client)
 			continue
-		case wire.OpStep2, wire.OpCell2, wire.OpStepN2, wire.OpCellN2:
-			if cl == nil {
-				return // v2 mutating frame before HELLO
-			}
-			val, ok = cl.Do(f.Seq, func() (int64, bool) { return s.apply(&f) })
-		default:
-			val, ok = s.apply(&f)
 		}
-		if !ok {
+		if !s.core.Check(&f, cl != nil) {
 			return // protocol violation: drop the connection
+		}
+		val, ok := s.core.Exec(cl, &f)
+		if !ok {
+			return // sequence past the dedup horizon: refused, not re-executed
 		}
 		binary.BigEndian.PutUint64(resp[:], uint64(val))
 		if _, err := conn.Write(resp[:]); err != nil {
 			return
 		}
 	}
-}
-
-// apply executes one decoded mutating-or-read frame against the shard's
-// balancer and cell state; ok=false is a protocol violation (unowned
-// id). v1 and v2 ops share the same semantics — v2 only adds the dedup
-// wrapper in serve.
-func (s *Shard) apply(f *wire.Frame) (val int64, ok bool) {
-	switch f.Op {
-	case wire.OpStep, wire.OpStep2:
-		b, ok := s.bals[f.ID]
-		if !ok {
-			return 0, false
-		}
-		return int64(b.Step()), true
-	case wire.OpStepN, wire.OpStepN2:
-		b, ok := s.bals[f.ID]
-		if !ok {
-			return 0, false
-		}
-		// One transition for the whole group: its first sequence index
-		// comes back; the client folds the split arithmetic.
-		if f.N > 0 {
-			return b.StepN(f.N), true
-		}
-		return b.StepAntiN(-f.N), true
-	case wire.OpRead:
-		// Non-mutating cell read: id is the bare wire index.
-		c, ok := s.cells[f.ID]
-		if !ok {
-			return 0, false
-		}
-		return c.Load(), true
-	case wire.OpCell, wire.OpCell2, wire.OpCellN, wire.OpCellN2:
-		// The stride (output width t) rides in the upper bits of the
-		// id to keep the protocol stateless: id = wire | stride<<16.
-		// Networks therefore must have t < 65536 — far beyond any
-		// practical configuration.
-		cw := f.ID & 0xffff
-		stride := int64(f.ID >> 16)
-		c, ok := s.cells[cw]
-		if !ok {
-			return 0, false
-		}
-		if f.Op == wire.OpCell || f.Op == wire.OpCell2 {
-			return c.Add(stride) - stride, true
-		}
-		// Batched claim (n > 0) or revocation (n < 0): reply with the
-		// cell value after the add; the client reconstructs the |n|
-		// individual values.
-		return c.Add(stride * f.N), true
-	}
-	return 0, false
 }
 
 // Cluster is a client-side view of a sharded deployment: the topology plus

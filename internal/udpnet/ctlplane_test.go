@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ctlplane"
+	"repro/internal/wire"
 )
 
 func scrapeURL(t *testing.T, url string) (int, string) {
@@ -63,12 +64,31 @@ func TestUDPShardControlPlaneEndpoints(t *testing.T) {
 		t.Fatalf("idle shard health %q (err %v)", body, err)
 	}
 
-	ctr := NewCluster(topo, addrs).NewCounter()
+	cluster := NewCluster(topo, addrs)
+	lossless(cluster)
+	ctr := cluster.NewCounter()
 	defer ctr.Close()
 	for pid := 0; pid < 8; pid++ {
 		if _, err := ctr.Inc(pid); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := ctr.IncBatch(3, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A served frame is one the core answered, so with nothing lost or
+	// retransmitted the shards' frames add up to the client's rpcs — the
+	// HELLO heading every datagram is neither.
+	var served int64
+	for _, s := range shards {
+		for _, sm := range s.Gather() {
+			if sm.Name == wire.MetricShardFrames {
+				served += sm.Value
+			}
+		}
+	}
+	if served != ctr.RPCs() {
+		t.Fatalf("shards served %d frames, the client sent %d rpcs", served, ctr.RPCs())
 	}
 
 	code, body = scrapeURL(t, base+"/status")

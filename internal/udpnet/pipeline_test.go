@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/wire"
 	"repro/internal/xport"
 )
 
@@ -20,6 +21,17 @@ func startClusterCfg(t *testing.T, topo *network.Network, shards int, cfg ShardC
 	}
 	t.Cleanup(stop)
 	return c
+}
+
+// lossless gives a fixture that bills exact frame counts on loopback the
+// 1 s retransmit timer bench/'s udp-k64 uses: the default 15 ms timer
+// reads a guest stall as loss, and Session.RPCs counts the frames of a
+// retransmitted copy, so the bill would read scheduling, not the
+// protocol. Call before the counter or session is built.
+func lossless(c *Cluster) {
+	c.SetRetransmitPolicy(
+		wire.RetryPolicy{Attempts: DefaultRetransmitAttempts, Budget: DefaultRetransmitBudget},
+		wire.Backoff{Base: time.Second, Max: time.Second})
 }
 
 // The pipelining gate: sessions with a window deeper than one — several
@@ -155,6 +167,7 @@ func TestUDPPipelineRPCFloorMatchesSerial(t *testing.T) {
 			t.Helper()
 			cluster := startClusterCfg(t, topo, fleet.shards, ShardConfig{Workers: 4})
 			cluster.SetPipeline(depth)
+			lossless(cluster)
 			sess, err := cluster.NewSession()
 			if err != nil {
 				t.Fatal(err)

@@ -47,17 +47,16 @@ package udpnet
 
 import (
 	"encoding/binary"
-	"math"
 	"net"
 	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/balancer"
 	"repro/internal/ctlplane"
 	"repro/internal/network"
 	"repro/internal/wire"
+	"repro/internal/xport"
 )
 
 // ShardConfig tunes a shard server; the zero value is the production
@@ -165,19 +164,17 @@ func (io *loopIO) writeBatch(ps []pkt) error {
 	return firstErr
 }
 
-// Shard is one balancer server: it owns the state of the balancers and
-// counter cells assigned to it and serves packed v2 frames over UDP,
-// deduplicating every mutating frame per client. Packets flow through a
-// three-stage pipeline — a reader draining the socket in bursts into
-// pooled buffers, a worker pool decoding/validating/executing, and a
-// sender writing reply bursts — so cross-client packets process in
-// parallel while frames within one packet still apply in order (one
-// worker owns the whole packet).
+// Shard is one balancer server: the UDP link — socket, packing, worker
+// pool — over the shared serving core (xport.ShardCore), which owns the
+// balancers, counter cells and per-client dedup windows assigned to it
+// and executes every frame. Packets flow through a three-stage pipeline
+// — a reader draining the socket in bursts into pooled buffers, a worker
+// pool decoding/validating/executing, and a sender writing reply bursts
+// — so cross-client packets process in parallel while frames within one
+// packet still apply in order (one worker owns the whole packet).
 type Shard struct {
 	conn    *net.UDPConn
-	bals    map[int32]*balancer.PQ
-	cells   map[int32]*atomic.Int64
-	dedup   *wire.Dedup
+	core    *xport.ShardCore
 	done    chan struct{}
 	once    sync.Once // Close idempotency
 	wg      sync.WaitGroup
@@ -199,7 +196,6 @@ type Shard struct {
 	netName      string
 	reg          *ctlplane.Registry
 	packets      atomic.Int64
-	frames       atomic.Int64
 	drops        atomic.Int64
 	inflight     atomic.Int64
 	busy         atomic.Int64
@@ -241,9 +237,7 @@ func StartShardConfig(addr string, topo *network.Network, index, shards int, cfg
 	}
 	s := &Shard{
 		conn:    conn,
-		bals:    make(map[int32]*balancer.PQ),
-		cells:   make(map[int32]*atomic.Int64),
-		dedup:   wire.NewDedup(cfg.Dedup),
+		core:    xport.NewShardCore(topo, index, shards, cfg.Dedup),
 		done:    make(chan struct{}),
 		workers: workers,
 		batch:   batch,
@@ -257,7 +251,7 @@ func StartShardConfig(addr string, topo *network.Network, index, shards int, cfg
 	}
 	s.io = newShardIO(conn, batch)
 	labels := []ctlplane.Label{{Key: "transport", Value: "udp"}, {Key: "shard", Value: strconv.Itoa(index)}}
-	s.reg.Counter(wire.MetricShardFrames, wire.HelpShardFrames, s.frames.Load, labels...)
+	s.core.RegisterMetrics(s.reg, labels...)
 	s.reg.Counter(wire.MetricShardPackets, wire.HelpShardPackets, s.packets.Load, labels...)
 	s.reg.Counter(wire.MetricShardDrops, wire.HelpShardDrops, s.drops.Load, labels...)
 	s.reg.Gauge(wire.MetricShardWorkers, wire.HelpShardWorkers, func() int64 { return int64(s.workers) }, labels...)
@@ -266,20 +260,6 @@ func StartShardConfig(addr string, topo *network.Network, index, shards int, cfg
 	s.reg.Counter(wire.MetricShardRecvBatchPackets, wire.HelpShardRecvBatchPackets, s.recvBatchPks.Load, labels...)
 	s.reg.Counter(wire.MetricShardSendBatches, wire.HelpShardSendBatches, s.sendBatches.Load, labels...)
 	s.reg.Counter(wire.MetricShardSendBatchPackets, wire.HelpShardSendBatchPackets, s.sendBatchPks.Load, labels...)
-	s.dedup.RegisterMetrics(s.reg, labels...)
-	for id := 0; id < topo.Size(); id++ {
-		if id%shards == index {
-			nd := topo.Node(id)
-			s.bals[int32(id)] = balancer.NewInit(nd.In(), nd.Out(), nd.Balancer().Init())
-		}
-	}
-	for w := 0; w < topo.OutWidth(); w++ {
-		if w%shards == index {
-			c := &atomic.Int64{}
-			c.Store(int64(w))
-			s.cells[int32(w)] = c
-		}
-	}
 	var workerWG sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -357,8 +337,8 @@ func (s *Shard) Status() any {
 		Shard:     s.index,
 		Shards:    s.shards,
 		Network:   s.netName,
-		Balancers: len(s.bals),
-		Cells:     len(s.cells),
+		Balancers: s.core.Balancers(),
+		Cells:     s.core.Cells(),
 	}
 }
 
@@ -418,7 +398,6 @@ func (s *Shard) serve() {
 // Workers > 1 safe (and what TestUDPShardWorkersBufferIsolation pins).
 func (s *Shard) work() {
 	var frames []wire.Frame
-	w := newWorkCtx(s)
 	for p := range s.workq {
 		s.busy.Add(1)
 		s.packets.Add(1)
@@ -429,13 +408,12 @@ func (s *Shard) work() {
 			continue
 		}
 		rbuf := s.pool.get()
-		resp := s.process(rbuf[:0], reqid, fs, w)
+		resp := s.process(rbuf[:0], reqid, fs)
 		if resp == nil {
 			s.pool.put(rbuf)
 			s.dropPkt(p)
 			continue
 		}
-		s.frames.Add(int64(len(fs)))
 		s.pool.put(p.buf)
 		s.sendq <- pkt{buf: rbuf, n: len(resp), ap: p.ap}
 		s.busy.Add(-1)
@@ -482,129 +460,48 @@ func (s *Shard) send() {
 	}
 }
 
-// workCtx is one worker's execute thunk for the dedup layer: the
-// closure is bound once per worker and reads the current frame through
-// w.f — a literal at the Do call site would heap-allocate per mutating
-// frame, the single biggest allocation on the old hot path.
-type workCtx struct {
-	f    *wire.Frame
-	exec func() (int64, bool)
-}
-
-func newWorkCtx(s *Shard) *workCtx {
-	w := &workCtx{}
-	w.exec = func() (int64, bool) { return s.apply(w.f) }
-	return w
-}
-
 // process validates and executes one decoded packet, returning the
 // encoded response or nil to drop the packet. Validation runs BEFORE
 // any state changes: on a datagram transport a violation cannot "drop
 // the rest of the stream", so a packet that would fail partway is
-// refused whole instead of half-applying.
-func (s *Shard) process(dst []byte, reqid uint64, frames []wire.Frame, w *workCtx) []byte {
+// refused whole instead of half-applying. The one datagram-only rule
+// lives here, not in the core: a v1 mutating op (one V2Op would
+// renumber) is stateless, so a retransmitted copy would run twice.
+func (s *Shard) process(dst []byte, reqid uint64, frames []wire.Frame) []byte {
 	helloed := false
 	for i := range frames {
 		f := &frames[i]
-		switch f.Op {
-		case wire.OpHello:
+		switch {
+		case f.Op == wire.OpHello:
 			helloed = true
-		case wire.OpRead:
-			if _, ok := s.cells[f.ID]; !ok {
-				return nil
-			}
-		case wire.OpStep2:
-			if !helloed {
-				return nil
-			}
-			if _, ok := s.bals[f.ID]; !ok {
-				return nil
-			}
-		case wire.OpStepN2:
-			if !helloed || f.N == 0 || f.N == math.MinInt64 {
-				return nil
-			}
-			if _, ok := s.bals[f.ID]; !ok {
-				return nil
-			}
-		case wire.OpCell2:
-			if !helloed {
-				return nil
-			}
-			if _, ok := s.cells[f.ID&0xffff]; !ok {
-				return nil
-			}
-		case wire.OpCellN2:
-			if !helloed || f.N == 0 || f.N == math.MinInt64 {
-				return nil
-			}
-			if _, ok := s.cells[f.ID&0xffff]; !ok {
-				return nil
-			}
-		default:
-			// v1 mutating frames are not retransmit-safe: refused.
+		case wire.V2Op(f.Op) != f.Op, !s.core.Check(f, helloed):
 			return nil
 		}
 	}
 	dst = wire.AppendPacket(dst, reqid, nil)
-	var cl *wire.DedupEntry
+	dedup := s.core.Dedup()
+	var cl *wire.DedupEntry // the packet's HELLO binding, held while it executes
 	defer func() {
 		if cl != nil {
-			s.dedup.Release(cl)
+			dedup.Release(cl)
 		}
 	}()
 	var vb [8]byte
 	for i := range frames {
 		f := &frames[i]
-		var val int64
-		switch f.Op {
-		case wire.OpHello:
+		if f.Op == wire.OpHello {
 			if cl != nil {
-				s.dedup.Release(cl)
+				dedup.Release(cl)
 			}
-			cl = s.dedup.Bind(f.Client)
+			cl = dedup.Bind(f.Client)
 			continue
-		case wire.OpRead:
-			val = s.cells[f.ID].Load()
-		default:
-			w.f = f
-			v, ok := cl.Do(f.Seq, w.exec)
-			if !ok {
-				return nil
-			}
-			val = v
+		}
+		val, ok := s.core.Exec(cl, f)
+		if !ok {
+			return nil
 		}
 		binary.BigEndian.PutUint64(vb[:], uint64(val))
 		dst = append(dst, vb[:]...)
 	}
 	return dst
-}
-
-// apply executes one validated v2 mutating frame against the shard's
-// balancer and cell state — the same semantics as the tcpnet shard,
-// behind the same dedup wrapper.
-func (s *Shard) apply(f *wire.Frame) (int64, bool) {
-	switch f.Op {
-	case wire.OpStep2:
-		return int64(s.bals[f.ID].Step()), true
-	case wire.OpStepN2:
-		b := s.bals[f.ID]
-		// One transition for the whole group: its first sequence index
-		// comes back; the client folds the split arithmetic.
-		if f.N > 0 {
-			return b.StepN(f.N), true
-		}
-		return b.StepAntiN(-f.N), true
-	case wire.OpCell2, wire.OpCellN2:
-		// The stride (output width t) rides in the upper bits of the id
-		// to keep the protocol stateless: id = wire | stride<<16, as in
-		// tcpnet.
-		c := s.cells[f.ID&0xffff]
-		stride := int64(f.ID >> 16)
-		if f.Op == wire.OpCell2 {
-			return c.Add(stride) - stride, true
-		}
-		return c.Add(stride * f.N), true
-	}
-	return 0, false
 }

@@ -188,6 +188,7 @@ func TestUDPBatchRPCsMatchTCPFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := startCluster(t, topo, 3)
+	lossless(cluster)
 	usess, err := cluster.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +361,7 @@ func TestUDPDedupConfigThreaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.dedup.Config(); got.Window != cfg.Dedup.Window || got.Clients != cfg.Dedup.Clients {
+	if got := s.core.Dedup().Config(); got.Window != cfg.Dedup.Window || got.Clients != cfg.Dedup.Clients {
 		t.Fatalf("shard dedup config = %+v, want %+v", got, cfg.Dedup)
 	}
 	cluster := NewCluster(topo, []string{s.Addr()})

@@ -16,7 +16,7 @@ package wire
 const (
 	// Shard (server) side.
 	MetricShardFrames = "countnet_shard_frames_total"
-	HelpShardFrames   = "Request frames decoded and served by the shard, deduplicated replays included."
+	HelpShardFrames   = "Request frames the shard answered: executed, or replayed from a dedup record. HELLO bindings and refused frames are not counted."
 
 	MetricShardConnsOpen = "countnet_shard_conns_open"
 	HelpShardConnsOpen   = "Client connections the shard is currently tracking (TCP only)."
