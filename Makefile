@@ -65,9 +65,11 @@ race:
 # zero-added-frames latency gate replaying E31's exact bill on every
 # frame-speaking transport), and the serving seam's own table tests
 # (TestShardCore*: the one frame executor's refusal surface, replay and
-# horizon refusal, cell-id packing, and Walk-over-cores equivalence).
-RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged|TestShardCore
-RESILIENCE_PKGS := ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance ./internal/xport
+# horizon refusal, cell-id packing, and Walk-over-cores equivalence),
+# and the network layout gates (C(w,t) built in a bounded number of
+# allocations, every balancer alone on a 64-byte-aligned cache line).
+RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged|TestShardCore|TestNewAllocs|TestBalancerArenaLayout
+RESILIENCE_PKGS := ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance ./internal/xport ./internal/core ./internal/network
 
 resilience:
 	$(call pinned,$(RESILIENCE),$(RESILIENCE_PKGS),Test|Fuzz)

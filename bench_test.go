@@ -43,6 +43,7 @@ func BenchmarkConstruct(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := registry.Build(c.family, c.p); err != nil {
 					b.Fatal(err)

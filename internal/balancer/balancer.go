@@ -19,7 +19,7 @@ import (
 // the transition behaviour (a balancer processes one token at a time
 // regardless of which input wire it arrived on); it is recorded for
 // structural bookkeeping. The zero value is a balancer with q unset and is
-// not usable; create with New.
+// not usable; create with New or initialize in place with Set.
 type PQ struct {
 	count atomic.Int64 // net number of (tokens - antitokens) processed
 	init  int64        // initial state s0 in [0, q)
@@ -27,19 +27,27 @@ type PQ struct {
 }
 
 // New returns a (p,q)-balancer with initial state 0.
-func New(p, q int) *PQ {
-	if p < 1 || q < 1 {
-		panic(fmt.Sprintf("balancer: invalid widths (%d,%d)", p, q))
-	}
-	return &PQ{p: int32(p), q: int32(q)}
-}
+func New(p, q int) *PQ { return NewInit(p, q, 0) }
 
 // NewInit returns a (p,q)-balancer whose first token exits on wire s0 mod q.
 // Randomized initial states are the Section 7 open-problem ablation.
 func NewInit(p, q int, s0 int64) *PQ {
-	b := New(p, q)
-	b.init = ((s0 % int64(q)) + int64(q)) % int64(q)
+	b := new(PQ)
+	b.Set(p, q, s0)
 	return b
+}
+
+// Set re-initializes b in place as a (p,q)-balancer whose first token
+// exits on wire s0 mod q, with nothing processed yet. It lets a balancer
+// live in a caller-owned slot, such as a network's cache-line arena.
+// Not safe for use concurrent with Step/StepAnti.
+func (b *PQ) Set(p, q int, s0 int64) {
+	if p < 1 || q < 1 {
+		panic(fmt.Sprintf("balancer: invalid widths (%d,%d)", p, q))
+	}
+	b.p, b.q = int32(p), int32(q)
+	b.init = ((s0 % int64(q)) + int64(q)) % int64(q)
+	b.count.Store(0)
 }
 
 // In returns the input width p.

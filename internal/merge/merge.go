@@ -101,6 +101,8 @@ func buildBase(b *network.Builder, in []network.Port) []network.Port {
 
 // split returns the even- and odd-indexed ports of s.
 func split(s []network.Port) (even, odd []network.Port) {
+	even = make([]network.Port, 0, (len(s)+1)/2)
+	odd = make([]network.Port, 0, len(s)/2)
 	for i, p := range s {
 		if i%2 == 0 {
 			even = append(even, p)

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/balancer"
 )
@@ -37,10 +38,10 @@ type endpoint struct {
 
 // Node is one balancer inside a network.
 type Node struct {
-	bal   *balancer.PQ
-	out   []endpoint // destination of each output port
-	in    []endpoint // source of each input port
-	depth int32      // 1-based layer index (§2.2)
+	bal   *balancer.PQ // the node's line of the network's balancer arena
+	out   []endpoint   // destination of each output port, a view of the flat wiring
+	in    []endpoint   // source of each input port, a view of the flat wiring
+	depth int32        // 1-based layer index (§2.2)
 	id    int32
 }
 
@@ -269,13 +270,15 @@ func (n *Network) SetLabel(id int, label string) {
 	n.labels[id] = label
 }
 
-// RandomizeInitialStates rebuilds every balancer with a uniformly random
-// initial state drawn from rng (the Section 7 randomization ablation).
-// Not safe to call concurrently with traversals.
+// RandomizeInitialStates re-initializes every balancer in place with a
+// uniformly random initial state drawn from rng and nothing processed (the
+// Section 7 randomization ablation). A *balancer.PQ taken from Node before
+// the call sees the new state. Not safe to call concurrently with
+// traversals.
 func (n *Network) RandomizeInitialStates(rng *rand.Rand) {
 	for i := range n.nodes {
 		nd := &n.nodes[i]
-		nd.bal = balancer.NewInit(nd.In(), nd.Out(), rng.Int63n(int64(nd.Out())))
+		nd.bal.Set(nd.In(), nd.Out(), rng.Int63n(int64(nd.Out())))
 	}
 }
 
@@ -290,32 +293,51 @@ type Port struct {
 	seq int64 // creation sequence, for error messages
 }
 
+// dangling fills a wiring slot until its port is consumed; the slot then
+// holds the consumer's endpoint.
+var dangling = endpoint{node: External - 1, port: External - 1}
+
+// proto is what the Builder records of a balancer; Finalize lays it out.
+type proto struct {
+	s0    int64
+	p, q  int32
+	outAt int32 // index of the node's first output port in Builder.outs
+	depth int32
+}
+
 // Builder incrementally constructs a balancing network. Balancers must be
 // created in dependency order (a balancer can only consume already-existing
 // ports), which makes creation order a topological order.
+//
+// Wiring accumulates in flat slices, node after node, that Finalize hands
+// to the Network as they are: ins holds each node's sources, outs its
+// destinations (dangling until consumed), and inputs each input wire's
+// consumer.
 type Builder struct {
-	name     string
-	inWidth  int
-	nodes    []Node
-	inputs   []endpoint
-	consumed map[endpoint]bool
-	seq      int64
-	err      error
+	name    string
+	inWidth int
+	protos  []proto
+	ins     []endpoint
+	outs    []endpoint
+	inputs  []endpoint // nil once the builder is spent
+	ports   []Port     // slab the Ports returned by BalancerInit are cut from
+	seq     int64
+	err     error
 }
 
 // NewBuilder starts a network with inWidth input wires.
 func NewBuilder(name string, inWidth int) (*Builder, []Port) {
 	b := &Builder{
-		name:     name,
-		inWidth:  inWidth,
-		inputs:   make([]endpoint, inWidth),
-		consumed: make(map[endpoint]bool),
+		name:    name,
+		inWidth: inWidth,
+		inputs:  make([]endpoint, inWidth),
 	}
 	if inWidth < 1 {
 		b.fail(fmt.Errorf("network %s: input width %d < 1", name, inWidth))
 	}
 	ports := make([]Port, inWidth)
 	for i := range ports {
+		b.inputs[i] = dangling
 		ports[i] = Port{src: endpoint{node: External, port: int32(i)}, b: b}
 	}
 	return b, ports
@@ -346,38 +368,40 @@ func (b *Builder) BalancerInit(in []Port, outWidth int, s0 int64) []Port {
 		b.fail(fmt.Errorf("network %s: balancer widths (%d,%d) invalid", b.name, len(in), outWidth))
 		return nil
 	}
-	id := int32(len(b.nodes))
-	node := Node{
-		bal: balancer.NewInit(len(in), outWidth, s0),
-		out: make([]endpoint, outWidth),
-		in:  make([]endpoint, len(in)),
-		id:  id,
-	}
+	id := int32(len(b.protos))
 	depth := int32(0)
 	for p, port := range in {
 		if !b.consume(port, endpoint{node: id, port: int32(p)}) {
 			return nil
 		}
-		node.in[p] = port.src
+		b.ins = append(b.ins, port.src)
 		if port.src.node != External {
-			if d := b.nodes[port.src.node].depth; d > depth {
-				depth = d
-			}
+			depth = max(depth, b.protos[port.src.node].depth)
 		}
 	}
-	node.depth = depth + 1
-	b.nodes = append(b.nodes, node)
-	outs := make([]Port, outWidth)
-	for p := range outs {
-		b.seq++
-		outs[p] = Port{src: endpoint{node: id, port: int32(p)}, b: b, seq: b.seq}
+	b.protos = append(b.protos, proto{
+		s0: s0, p: int32(len(in)), q: int32(outWidth),
+		outAt: int32(len(b.outs)), depth: depth + 1,
+	})
+	for range outWidth {
+		b.outs = append(b.outs, dangling)
 	}
-	return outs
+	if cap(b.ports)-len(b.ports) < outWidth {
+		b.ports = make([]Port, 0, max(256, outWidth))
+	}
+	at := len(b.ports)
+	b.ports = b.ports[:at+outWidth]
+	ports := b.ports[at : at+outWidth : at+outWidth]
+	for p := range ports {
+		b.seq++
+		ports[p] = Port{src: endpoint{node: id, port: int32(p)}, b: b, seq: b.seq}
+	}
+	return ports
 }
 
-// consume marks a port used and records its wiring; false on error.
+// consume records dest in the wiring slot of port p; false on error.
 func (b *Builder) consume(p Port, dest endpoint) bool {
-	if b.consumed == nil {
+	if b.inputs == nil {
 		b.fail(ErrSpent)
 		return false
 	}
@@ -385,23 +409,29 @@ func (b *Builder) consume(p Port, dest endpoint) bool {
 		b.fail(fmt.Errorf("network %s: port from a different builder", b.name))
 		return false
 	}
-	if b.consumed[p.src] {
+	var slot *endpoint
+	if p.src.node == External {
+		slot = &b.inputs[p.src.port]
+	} else {
+		slot = &b.outs[b.protos[p.src.node].outAt+p.src.port]
+	}
+	if *slot != dangling {
 		b.fail(fmt.Errorf("network %s: port %v consumed twice", b.name, p.src))
 		return false
 	}
-	b.consumed[p.src] = true
-	if p.src.node == External {
-		b.inputs[p.src.port] = dest
-	} else {
-		b.nodes[p.src.node].out[p.src.port] = dest
-	}
+	*slot = dest
 	return true
 }
 
 // Finalize declares the given ports to be the network's output wires, in
 // order, validates that every port in the network was consumed exactly
-// once, and returns the immutable Network.
+// once, and returns the immutable Network. It lays the balancers out in
+// one cache-line arena and gives each node views of the builder's flat
+// wiring.
 func (b *Builder) Finalize(outputs []Port) (*Network, error) {
+	if b.inputs == nil {
+		b.fail(ErrSpent)
+	}
 	if b.err == nil {
 		for i, p := range outputs {
 			b.consume(p, endpoint{node: External, port: int32(i)})
@@ -412,14 +442,14 @@ func (b *Builder) Finalize(outputs []Port) (*Network, error) {
 	}
 	// Completeness: every node output port and every network input must be
 	// consumed.
-	for i := 0; i < b.inWidth; i++ {
-		if !b.consumed[endpoint{node: External, port: int32(i)}] {
+	for i, ep := range b.inputs {
+		if ep == dangling {
 			return nil, fmt.Errorf("network %s: input wire %d left dangling", b.name, i)
 		}
 	}
-	for id := range b.nodes {
-		for p := 0; p < b.nodes[id].Out(); p++ {
-			if !b.consumed[endpoint{node: int32(id), port: int32(p)}] {
+	for id, pr := range b.protos {
+		for p := range pr.q {
+			if b.outs[pr.outAt+p] == dangling {
 				return nil, fmt.Errorf("network %s: balancer %d output %d left dangling", b.name, id, p)
 			}
 		}
@@ -428,27 +458,79 @@ func (b *Builder) Finalize(outputs []Port) (*Network, error) {
 		name:     b.name,
 		inWidth:  b.inWidth,
 		outWidth: len(outputs),
-		nodes:    b.nodes,
+		nodes:    make([]Node, len(b.protos)),
 		inputs:   b.inputs,
-		occ:      make([]atomic.Int64, len(b.nodes)),
+		sources:  make([]endpoint, len(outputs)),
+		occ:      make([]atomic.Int64, len(b.protos)),
 	}
-	n.sources = make([]endpoint, len(outputs))
 	for i, p := range outputs {
 		n.sources[i] = p.src
 	}
-	for i := range n.nodes {
-		if d := int(n.nodes[i].depth); d > n.depth {
-			n.depth = d
+	arena := newArena(len(b.protos))
+	inAt := int32(0)
+	for i, pr := range b.protos {
+		bal := &arena[i].PQ
+		bal.Set(int(pr.p), int(pr.q), pr.s0)
+		n.nodes[i] = Node{
+			bal:   bal,
+			in:    b.ins[inAt : inAt+pr.p : inAt+pr.p],
+			out:   b.outs[pr.outAt : pr.outAt+pr.q : pr.outAt+pr.q],
+			depth: pr.depth,
+			id:    int32(i),
 		}
+		inAt += pr.p
+		n.depth = max(n.depth, int(pr.depth))
 	}
-	n.layers = make([][]int32, n.depth)
-	for i := range n.nodes {
-		d := n.nodes[i].depth - 1
-		n.layers[d] = append(n.layers[d], int32(i))
-	}
-	b.consumed = nil // builder is spent
+	n.layers = layers(n.nodes, n.depth)
+	*b = Builder{name: b.name} // spent: the Network owns the wiring now
 	return n, nil
+}
+
+// layers groups node ids by depth, each group in id order, carving every
+// group from one slice.
+func layers(nodes []Node, depth int) [][]int32 {
+	next := make([]int32, depth+1) // next free slot of each layer in ids
+	for i := range nodes {
+		next[nodes[i].depth]++
+	}
+	for d := 1; d <= depth; d++ {
+		next[d] += next[d-1]
+	}
+	ids := make([]int32, len(nodes))
+	for i := range nodes {
+		d := nodes[i].depth - 1
+		ids[next[d]] = int32(i)
+		next[d]++
+	}
+	out := make([][]int32, depth)
+	lo := int32(0)
+	for d := range out {
+		out[d] = ids[lo:next[d]:next[d]]
+		lo = next[d]
+	}
+	return out
 }
 
 // ErrSpent is returned when a Builder is reused after Finalize.
 var ErrSpent = errors.New("network: builder already finalized")
+
+// lineSize is the cache-line size the balancer arena pads to.
+const lineSize = 64
+
+// line is one balancer padded to a whole cache line, so that no two
+// balancers of a network share one: a token's atomic step never contends
+// with a neighbouring balancer's.
+type line struct {
+	balancer.PQ
+	_ [lineSize - unsafe.Sizeof(balancer.PQ{})]byte
+}
+
+// newArena returns n zeroed lines in one allocation, the first starting
+// on a 64-byte boundary. A balancer holds no pointers, so the lines may
+// start at any 8-byte offset into the allocation; one spare line absorbs
+// the shift.
+func newArena(n int) []line {
+	buf := make([]line, n+1)
+	shift := -uintptr(unsafe.Pointer(&buf[0])) & (lineSize - 1)
+	return unsafe.Slice((*line)(unsafe.Add(unsafe.Pointer(&buf[0]), shift)), n)
+}

@@ -33,11 +33,18 @@ type ShardCore struct {
 
 	// A shard owns the ids ≡ index (mod shards), so id lives in slot
 	// id / shards of a dense slice.
-	bals  []*balancer.PQ
+	bals  []paddedPQ
 	cells []atomic.Int64
 
 	dedup  *wire.Dedup
 	frames atomic.Int64
+}
+
+// paddedPQ is a balancer padded to 64 bytes: the shard's balancers are
+// one allocation, and their state words sit a cache line apart.
+type paddedPQ struct {
+	balancer.PQ
+	_ [40]byte
 }
 
 // NewShardCore builds the state of shard `index` of `shards`: every
@@ -55,9 +62,10 @@ func NewShardCore(topo *network.Network, index, shards int, cfg wire.DedupConfig
 		width:  topo.OutWidth(),
 		dedup:  wire.NewDedup(cfg),
 	}
-	for id := index; id < c.size; id += shards {
-		nd := topo.Node(id)
-		c.bals = append(c.bals, balancer.NewInit(nd.In(), nd.Out(), nd.Balancer().Init()))
+	c.bals = make([]paddedPQ, (c.size-index+shards-1)/shards)
+	for i := range c.bals {
+		nd := topo.Node(index + i*shards)
+		c.bals[i].Set(nd.In(), nd.Out(), nd.Balancer().Init())
 	}
 	c.cells = make([]atomic.Int64, (c.width-index+shards-1)/shards)
 	for i := range c.cells {
@@ -152,7 +160,7 @@ func (c *ShardCore) apply(f *wire.Frame) int64 {
 	case wire.OpStepN, wire.OpStepN2:
 		// One transition for the whole group: its first sequence index
 		// comes back; the client folds the split arithmetic.
-		b := c.bals[int(f.ID)/c.shards]
+		b := &c.bals[int(f.ID)/c.shards]
 		if f.N > 0 {
 			return b.StepN(f.N)
 		}
