@@ -67,8 +67,12 @@ race:
 # (TestShardCore*: the one frame executor's refusal surface, replay and
 # horizon refusal, cell-id packing, and Walk-over-cores equivalence),
 # and the network layout gates (C(w,t) built in a bounded number of
-# allocations, every balancer alone on a 64-byte-aligned cache line).
-RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged|TestShardCore|TestNewAllocs|TestBalancerArenaLayout
+# allocations, every balancer alone on a 64-byte-aligned cache line),
+# and the GC-proof serving path (the shard's packet-buffer free list
+# keeps its buffers across GCs and within its bound, a client's dedup
+# rings stop reallocating past its first window, and the udp session
+# allocates nothing per op, under -race too).
+RESILIENCE := TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestUDPDelayedDuplicateExactCount|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged|TestShardCore|TestNewAllocs|TestBalancerArenaLayout|TestUDPShardBufPool|TestDedupRingsStopGrowing|TestUDPSessionZeroAlloc
 RESILIENCE_PKGS := ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance ./internal/xport ./internal/core ./internal/network
 
 resilience:

@@ -113,9 +113,14 @@ func (b *PQ) StepAntiN(n int64) (k int64) {
 	return b.count.Add(-n)
 }
 
-// wire maps a (possibly negative) step index to an output wire.
+// wire maps a (possibly negative) step index to an output wire. A
+// power-of-two q takes a mask, which is the same wire for negative k too
+// (two's complement), and spares the hop a division.
 func (b *PQ) wire(k int64) int {
 	q := int64(b.q)
+	if q&(q-1) == 0 {
+		return int((b.init + k) & (q - 1))
+	}
 	w := (b.init + k) % q
 	if w < 0 {
 		w += q

@@ -96,6 +96,26 @@ func TestStepAntiNPanicsOnNonPositive(t *testing.T) {
 	New(2, 2).StepAntiN(0)
 }
 
+// wire is held to its definition, (init+k) mod q with the result in
+// [0,q), for every width the mask path and the division path serve, every
+// initial state and tokens and antitokens four rounds deep.
+func TestWireMatchesMod(t *testing.T) {
+	for q := 1; q <= 64; q++ {
+		for init := 0; init < q; init++ {
+			b := NewInit(1, q, int64(init))
+			for k := -4 * int64(q); k <= 4*int64(q); k++ {
+				want := (int64(init) + k) % int64(q)
+				if want < 0 {
+					want += int64(q)
+				}
+				if got := b.wire(k); got != int(want) {
+					t.Fatalf("q=%d init=%d k=%d: wire %d, want %d", q, init, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestInitialState(t *testing.T) {
 	b := NewInit(2, 4, 6) // 6 mod 4 = 2
 	if b.Init() != 2 {

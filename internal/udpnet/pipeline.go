@@ -24,7 +24,9 @@ import (
 //
 // Retransmit timers are the socket's read deadline, not timers: the
 // deadline of every read is the earliest resend time of the
-// outstanding packets, so a timer costs nothing per packet. A socket is
+// outstanding packets, so a timer costs nothing per packet. An expiry
+// costs one *net.OpError, about one allocation per retransmit: the
+// standard library has no deadline read that avoids it. A socket is
 // only serviced while its session awaits it; a reply to a packet on
 // another socket waits in the kernel's receive buffer until the walk
 // gets there, and pump reads what has arrived before it resends

@@ -2,6 +2,7 @@ package udpnet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -269,4 +270,81 @@ func TestUDPShardWorkersBufferIsolation(t *testing.T) {
 	if want := int64(procs * per * k); total != want {
 		t.Fatalf("Read = %d, want %d — packets corrupted or double-applied under workers", total, want)
 	}
+}
+
+// The shard's packet buffers survive garbage collection: a buffer put on
+// the free list is the one a later get returns, however many collections
+// ran in between. A sync.Pool empties itself across two GCs, so the
+// shard re-allocated its buffers after every collection.
+func TestUDPShardBufPoolSurvivesGC(t *testing.T) {
+	var bp bufPool
+	const k = 8
+	put := make(map[*[shardBufSize]byte]bool, k)
+	for i := 0; i < k; i++ {
+		b := new([shardBufSize]byte)
+		put[b] = true
+		bp.put(b)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < k; i++ {
+		b := bp.get()
+		if !put[b] {
+			t.Fatalf("get %d after GC returned a fresh buffer, not one that was put", i)
+		}
+		delete(put, b)
+	}
+}
+
+// The free list never outgrows what the pipeline can hold in flight:
+// after a saturating concurrent load on a two-worker shard with tiny
+// bursts, the buffers it keeps are no more than bufBound.
+func TestUDPShardBufPoolBound(t *testing.T) {
+	topo, err := core.New(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ShardConfig{Workers: 2, Batch: 2}
+	shard, err := StartShardConfig("127.0.0.1:0", topo, 0, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Close()
+	cluster := NewCluster(topo, []string{shard.Addr()})
+	cluster.SetPipeline(4)
+
+	const procs, per, k = 8, 16, 16
+	var wg sync.WaitGroup
+	errs := make([]error, procs)
+	for pid := 0; pid < procs; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			sess, err := cluster.NewSession()
+			if err != nil {
+				errs[pid] = err
+				return
+			}
+			defer sess.Close()
+			for i := 0; i < per && errs[pid] == nil; i++ {
+				_, errs[pid] = sess.IncBatch(pid+i, k, nil)
+			}
+		}(pid)
+	}
+	wg.Wait()
+	for pid, err := range errs {
+		if err != nil {
+			t.Fatalf("pid %d: %v", pid, err)
+		}
+	}
+	for shard.inflight.Load() > 0 {
+		runtime.Gosched()
+	}
+	shard.pool.mu.Lock()
+	held := len(shard.pool.free)
+	shard.pool.mu.Unlock()
+	if bound := bufBound(cfg.Workers, cfg.Batch); held == 0 || held > bound {
+		t.Fatalf("free list holds %d buffers after load, want 1..%d", held, bound)
+	}
+	t.Logf("free list holds %d buffers (bound %d)", held, bufBound(cfg.Workers, cfg.Batch))
 }

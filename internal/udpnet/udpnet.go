@@ -96,19 +96,40 @@ const DefaultShardBatch = 16
 // receive path and dropped as malformed.
 const shardBufSize = 2048
 
-// bufPool recycles fixed-size packet buffers between the receive,
-// process and send stages, so the steady-state shard hot path allocates
-// nothing per packet.
-type bufPool struct{ p sync.Pool }
-
-func newBufPool() *bufPool {
-	bp := &bufPool{}
-	bp.p.New = func() any { return new([shardBufSize]byte) }
-	return bp
+// bufPool is the shard's packet-buffer free list, a LIFO it owns: get
+// pops, allocating only when the list is empty, and put pushes and never
+// drops, so the hot path allocates nothing whatever the GC does. A buffer
+// is allocated only while all are out, so the list never holds more than
+// the pipeline has in flight (bufBound): Batch reader slots, Workers·Batch
+// in workq, a request and a reply per worker, Workers·Batch in sendq and
+// the sender's burst of Batch. Close drops it. A sync.Pool suits per-call
+// scratch got and put on one goroutine (network's batchPool, counter's
+// tallyPool); a packet buffer crosses goroutines, which churns its per-P
+// chains, and it empties across two GCs.
+type bufPool struct {
+	mu   sync.Mutex
+	free []*[shardBufSize]byte
 }
 
-func (bp *bufPool) get() *[shardBufSize]byte  { return bp.p.Get().(*[shardBufSize]byte) }
-func (bp *bufPool) put(b *[shardBufSize]byte) { bp.p.Put(b) }
+func bufBound(workers, batch int) int { return 2*batch + 2*workers*batch + 2*workers }
+
+func (bp *bufPool) get() *[shardBufSize]byte {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	n := len(bp.free)
+	if n == 0 {
+		return new([shardBufSize]byte)
+	}
+	b := bp.free[n-1]
+	bp.free = bp.free[:n-1]
+	return b
+}
+
+func (bp *bufPool) put(b *[shardBufSize]byte) {
+	bp.mu.Lock()
+	bp.free = append(bp.free, b)
+	bp.mu.Unlock()
+}
 
 // pkt is one datagram moving through the shard pipeline: a pooled
 // buffer, the byte count (negative marks a truncated receive, dropped
@@ -241,7 +262,7 @@ func StartShardConfig(addr string, topo *network.Network, index, shards int, cfg
 		done:    make(chan struct{}),
 		workers: workers,
 		batch:   batch,
-		pool:    newBufPool(),
+		pool:    &bufPool{free: make([]*[shardBufSize]byte, 0, bufBound(workers, batch))},
 		workq:   make(chan pkt, workers*batch),
 		sendq:   make(chan pkt, workers*batch),
 		index:   index,
@@ -298,8 +319,9 @@ func (s *Shard) Close() {
 	s.once.Do(func() {
 		close(s.done)
 		s.conn.Close()
+		s.wg.Wait()
+		s.pool.free = nil // every stage has exited
 	})
-	s.wg.Wait()
 }
 
 // ShardStatus is a shard server's /status document.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,17 +203,13 @@ func (e *DedupEntry) Do(seq uint64, exec func() (int64, bool)) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	for len(e.applied) <= b {
-		e.applied = append(e.applied, dedupBlock{})
-	}
+	e.applied = growRing(e.applied, b, e.win)
 	if a := &e.applied[b]; a.blk < blk {
 		*a = dedupBlock{blk: blk, bits: bit}
 	} else {
 		a.bits |= bit
 	}
-	for len(e.ring) <= i {
-		e.ring = append(e.ring, dedupSlot{})
-	}
+	e.ring = growRing(e.ring, i, e.win)
 	if sl := &e.ring[i]; !sl.used || sl.seq < seq {
 		if !sl.used {
 			e.used++
@@ -221,6 +218,20 @@ func (e *DedupEntry) Do(seq uint64, exec func() (int64, bool)) (int64, bool) {
 		*sl = dedupSlot{seq: seq, val: v, used: true}
 	}
 	return v, true
+}
+
+// growRing lengthens a ring to cover index i. From index 64 on its
+// capacity jumps to the whole window at once, so a client past its first
+// window never reallocates (its worst case is the same either way).
+func growRing[T any](s []T, i, win int) []T {
+	if i < len(s) {
+		return s
+	}
+	n := i + 1 - len(s)
+	if i >= 64 {
+		n = win - len(s)
+	}
+	return slices.Grow(s, n)[:i+1] // a ring never shrinks, so its spare capacity is zero
 }
 
 // Bind returns (registering if needed) the dedup entry for a client id,

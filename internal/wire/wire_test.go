@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,6 +118,34 @@ func TestDedupWindowGrowsLazily(t *testing.T) {
 	seq := uint64(100)
 	if n := testing.AllocsPerRun(100, func() { e.Do(seq, run); seq-- }); n != 0 {
 		t.Fatalf("replaying inside the grown window allocates %.0f per frame", n)
+	}
+}
+
+// A client's rings stop growing once its sequences pass the first
+// window: driving seqs past 4096 on to the end of the applied span twice
+// over allocates nothing, so a long-lived client never reallocates on
+// the serving path.
+func TestDedupRingsStopGrowing(t *testing.T) {
+	d := NewDedup(DedupConfig{})
+	e := d.Bind(1)
+	defer d.Release(e)
+	run := func() (int64, bool) { return 7, true }
+	drive := func(from, to uint64) {
+		for seq := from; seq <= to; seq++ {
+			if _, ok := e.Do(seq, run); !ok {
+				t.Fatalf("seq %d refused", seq)
+			}
+		}
+	}
+	drive(1, DefaultDedupWindow)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	drive(DefaultDedupWindow+1, 2*dedupAppliedSpan*DefaultDedupWindow)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("driving seqs %d..%d allocated %d times, want 0",
+			DefaultDedupWindow+1, 2*dedupAppliedSpan*DefaultDedupWindow, n)
 	}
 }
 
