@@ -101,11 +101,11 @@ const shardBufSize = 2048
 // drops, so the hot path allocates nothing whatever the GC does. A buffer
 // is allocated only while all are out, so the list never holds more than
 // the pipeline has in flight (bufBound): Batch reader slots, Workers·Batch
-// in workq, a request and a reply per worker, Workers·Batch in sendq and
-// the sender's burst of Batch. Close drops it. A sync.Pool suits per-call
-// scratch got and put on one goroutine (network's batchPool, counter's
-// tallyPool); a packet buffer crosses goroutines, which churns its per-P
-// chains, and it empties across two GCs.
+// in workq, a request and a spare per worker, Workers·Batch in sendq and
+// the sender's burst of Batch. A sync.Pool suits per-call scratch got
+// and put on one goroutine (network's batchPool, counter's tallyPool); a
+// packet buffer crosses goroutines, which churns its per-P chains, and it
+// empties across two GCs.
 type bufPool struct {
 	mu   sync.Mutex
 	free []*[shardBufSize]byte
@@ -319,9 +319,8 @@ func (s *Shard) Close() {
 	s.once.Do(func() {
 		close(s.done)
 		s.conn.Close()
-		s.wg.Wait()
-		s.pool.free = nil // every stage has exited
 	})
+	s.wg.Wait()
 }
 
 // ShardStatus is a shard server's /status document.
@@ -418,8 +417,11 @@ func (s *Shard) serve() {
 // each packet rides its own pooled buffer end to end — nothing a worker
 // touches is shared with another packet in flight, which is what makes
 // Workers > 1 safe (and what TestUDPShardWorkersBufferIsolation pins).
+// A reply is encoded into the worker's spare buffer, and the request's
+// buffer becomes the next spare, so a worker never takes the pool lock.
 func (s *Shard) work() {
 	var frames []wire.Frame
+	spare := s.pool.get()
 	for p := range s.workq {
 		s.busy.Add(1)
 		s.packets.Add(1)
@@ -429,15 +431,13 @@ func (s *Shard) work() {
 			s.dropPkt(p)
 			continue
 		}
-		rbuf := s.pool.get()
-		resp := s.process(rbuf[:0], reqid, fs)
+		resp := s.process(spare[:0], reqid, fs)
 		if resp == nil {
-			s.pool.put(rbuf)
 			s.dropPkt(p)
 			continue
 		}
-		s.pool.put(p.buf)
-		s.sendq <- pkt{buf: rbuf, n: len(resp), ap: p.ap}
+		s.sendq <- pkt{buf: spare, n: len(resp), ap: p.ap}
+		spare = p.buf
 		s.busy.Add(-1)
 	}
 }

@@ -203,13 +203,23 @@ func (e *DedupEntry) Do(seq uint64, exec func() (int64, bool)) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	e.applied = growRing(e.applied, b, e.win)
+	if b >= 64 && cap(e.applied) < e.win {
+		// Past its first 4096 sequences a client reserves the whole
+		// window at once, so the serving path never reallocates the
+		// ring again.
+		e.applied = slices.Grow(e.applied, e.win-len(e.applied))
+	}
+	for len(e.applied) <= b {
+		e.applied = append(e.applied, dedupBlock{})
+	}
 	if a := &e.applied[b]; a.blk < blk {
 		*a = dedupBlock{blk: blk, bits: bit}
 	} else {
 		a.bits |= bit
 	}
-	e.ring = growRing(e.ring, i, e.win)
+	for len(e.ring) <= i {
+		e.ring = append(e.ring, dedupSlot{})
+	}
 	if sl := &e.ring[i]; !sl.used || sl.seq < seq {
 		if !sl.used {
 			e.used++
@@ -218,20 +228,6 @@ func (e *DedupEntry) Do(seq uint64, exec func() (int64, bool)) (int64, bool) {
 		*sl = dedupSlot{seq: seq, val: v, used: true}
 	}
 	return v, true
-}
-
-// growRing lengthens a ring to cover index i. From index 64 on its
-// capacity jumps to the whole window at once, so a client past its first
-// window never reallocates (its worst case is the same either way).
-func growRing[T any](s []T, i, win int) []T {
-	if i < len(s) {
-		return s
-	}
-	n := i + 1 - len(s)
-	if i >= 64 {
-		n = win - len(s)
-	}
-	return slices.Grow(s, n)[:i+1] // a ring never shrinks, so its spare capacity is zero
 }
 
 // Bind returns (registering if needed) the dedup entry for a client id,
