@@ -539,7 +539,7 @@ type UDPSession = udpnet.Session
 // single-flight windows, pooled sessions and exactly-once tape-driven
 // retries as TCPCounter, with packet loss inside the retransmit budget
 // absorbed below the flight layer entirely. Create with
-// UDPCluster.NewCounter or NewCounterPool, or NewUDPClusterCounter.
+// UDPCluster.NewCounter or NewCounterPool.
 type UDPCounter = udpnet.Counter
 
 // ErrUDPCounterClosed is the sentinel a UDPCounter returns once Close
@@ -572,12 +572,6 @@ func StartUDPCluster(topo *Network, shards int) (*UDPCluster, func(), error) {
 	return udpnet.StartCluster(topo, shards)
 }
 
-// NewUDPClusterCounter builds the coalescing counter client over a UDP
-// cluster (poolWidth <= 0 defaults to the input width).
-func NewUDPClusterCounter(c *UDPCluster, poolWidth int) *UDPCounter {
-	return c.NewCounterPool(poolWidth)
-}
-
 // In-memory deployment (the transport-seam conformance link) ----------------
 
 // InprocShard is one balancer server of an in-memory deployment: the
@@ -602,8 +596,7 @@ type InprocSession = inproc.Session
 // InprocCounter is the cluster-wide coalescing client over the
 // in-memory link: the identical pooled/coalescing/retrying counter
 // that serves TCP and UDP, at zero wire cost. Create with
-// InprocCluster.NewCounter or NewCounterPool, or
-// NewInprocClusterCounter.
+// InprocCluster.NewCounter or NewCounterPool.
 type InprocCounter = inproc.Counter
 
 // ErrInprocCounterClosed is the sentinel an InprocCounter returns once
@@ -622,12 +615,6 @@ type InprocFaults = inproc.Faults
 // closing every shard.
 func StartInprocCluster(topo *Network, shards int) (*InprocCluster, func(), error) {
 	return inproc.StartCluster(topo, shards)
-}
-
-// NewInprocClusterCounter builds the coalescing counter client over an
-// in-memory cluster (poolWidth <= 0 defaults to the input width).
-func NewInprocClusterCounter(c *InprocCluster, poolWidth int) *InprocCounter {
-	return c.NewCounterPool(poolWidth)
 }
 
 // Fleets --------------------------------------------------------------------

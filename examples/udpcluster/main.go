@@ -56,7 +56,7 @@ func main() {
 	// The coalescing counter client: concurrent callers on the same
 	// input wire share batched pipelines; packet loss is handled below
 	// this API entirely.
-	ctr := countnet.NewUDPClusterCounter(cluster, 0)
+	ctr := cluster.NewCounterPool(0)
 	defer ctr.Close()
 
 	const clients, per = 16, 125
@@ -125,7 +125,7 @@ func main() {
 	lossy.SetDialWrapper(countnet.UDPFaults{
 		Drop: 0.10, Dup: 0.10, Reorder: 0.10, Seed: 42,
 	}.Wrapper())
-	lctr := countnet.NewUDPClusterCounter(lossy, 0)
+	lctr := lossy.NewCounterPool(0)
 	defer lctr.Close()
 	var lwg sync.WaitGroup
 	luniq := make([][]int64, clients)

@@ -84,13 +84,18 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 // implicit +Inf). Factor-2 spacing bounds the relative quantile error
 // at 2x, which is plenty to tell a 100µs RTT from a retry-induced
 // multi-second stall.
-func LatencyBuckets() []int64 {
-	return ExpBuckets(1024, 2, 26) // 2^10 ns .. 2^35 ns
-}
+func LatencyBuckets() []int64 { return append([]int64(nil), latencyBounds...) }
+
+// latencyBounds is LatencyBuckets computed once. Every latency histogram
+// shares it: bounds are immutable after construction, so the slice is
+// never written.
+var latencyBounds = ExpBuckets(1024, 2, 26) // 2^10 ns .. 2^35 ns
 
 // NewLatencyHistogram returns a histogram recording nanoseconds over
 // LatencyBuckets and exposing seconds.
-func NewLatencyHistogram() *Histogram { return NewHistogram(1e9, LatencyBuckets()...) }
+func NewLatencyHistogram() *Histogram {
+	return &Histogram{bounds: latencyBounds, scale: 1e9, counts: make([]atomic.Int64, len(latencyBounds)+1)}
+}
 
 // Observe records one raw value. Lock-free and allocation-free: a
 // binary search over the immutable bounds plus two atomic adds.

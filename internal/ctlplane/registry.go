@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,9 +79,8 @@ type metric struct {
 
 // validName reports whether s is a Prometheus identifier: a label name
 // is [a-zA-Z_][a-zA-Z0-9_]*, and a metric name (colon set) may also
-// carry ':' anywhere. A byte loop, not a regexp: a shard start makes a
-// dozen registrations and a client sixteen, each checking a name and
-// its labels, and matching them was a third of a cold start.
+// carry ':' anywhere. A byte loop, not a regexp: it runs for every name
+// and label key a shard or client registers, and allocates nothing.
 func validName(s string, colon bool) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
@@ -100,22 +98,21 @@ func validName(s string, colon bool) bool {
 // Gather evaluates every read closure at scrape time. The mutex guards
 // the slice only — the closures read atomics the data path maintains
 // anyway, so a scrape never blocks an operation.
+//
+// Registration is an append after one scan of the earlier entries: the
+// scan rejects a duplicate series (same name, same label set in any
+// order), type or help drift under a shared name, and a name that is or
+// expands to a histogram family's _bucket/_sum/_count series. It is
+// quadratic, keeps no index and allocates nothing; a registry holds one
+// shard's or client's series (at most ~25), so a registration costs a
+// few hundred string compares at most.
 type Registry struct {
-	mu       sync.Mutex
-	metrics  []metric
-	seen     map[string]struct{} // name + sorted labels, duplicate guard
-	meta     map[string]metric   // name -> first registration, consistency guard
-	reserved map[string]string   // histogram-expanded name (_bucket/_sum/_count) -> family
+	mu      sync.Mutex
+	metrics []metric
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		seen:     make(map[string]struct{}),
-		meta:     make(map[string]metric),
-		reserved: make(map[string]string),
-	}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter registers a monotonically increasing metric read from the
 // given closure. Registration errors (malformed name, duplicate
@@ -162,51 +159,51 @@ func (r *Registry) registerMetric(m metric) {
 	if m.typ == TypeHistogram && strings.HasSuffix(m.name, "_total") {
 		panic(fmt.Sprintf("ctlplane: histogram family %s must not end in _total", m.name))
 	}
-	key := seriesKey(m.name, m.labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.seen[key]; dup {
-		panic(fmt.Sprintf("ctlplane: duplicate series %s", key))
-	}
-	if prev, ok := r.meta[m.name]; ok {
-		if prev.typ != m.typ || prev.help != m.help {
+	for _, prev := range r.metrics {
+		switch {
+		case prev.name == m.name && sameLabels(prev.labels, m.labels):
+			panic(fmt.Sprintf("ctlplane: duplicate series %s%s", m.name, formatLabels(m.labels)))
+		case prev.name == m.name && (prev.typ != m.typ || prev.help != m.help):
 			panic(fmt.Sprintf("ctlplane: metric %s re-registered with different type or help", m.name))
+		case prev.typ == TypeHistogram && expands(prev.name, m.name):
+			panic(fmt.Sprintf("ctlplane: metric %s collides with histogram family %s", m.name, prev.name))
+		case m.typ == TypeHistogram && expands(m.name, prev.name):
+			panic(fmt.Sprintf("ctlplane: histogram family %s expands to existing metric %s", m.name, prev.name))
 		}
-	} else {
-		if fam, clash := r.reserved[m.name]; clash {
-			panic(fmt.Sprintf("ctlplane: metric %s collides with histogram family %s", m.name, fam))
-		}
-		if m.typ == TypeHistogram {
-			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-				expanded := m.name + suffix
-				if _, taken := r.meta[expanded]; taken {
-					panic(fmt.Sprintf("ctlplane: histogram family %s expands to existing metric %s", m.name, expanded))
-				}
-				r.reserved[expanded] = m.name
-			}
-		}
-		r.meta[m.name] = metric{name: m.name, typ: m.typ, help: m.help}
 	}
-	r.seen[key] = struct{}{}
 	r.metrics = append(r.metrics, m)
 }
 
-// seriesKey canonicalizes a (name, labels) pair for duplicate detection.
-func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
+// expands reports whether name is one of the series histogram family
+// fam expands to: fam_bucket, fam_sum or fam_count.
+func expands(fam, name string) bool {
+	rest, ok := strings.CutPrefix(name, fam)
+	return ok && (rest == "_bucket" || rest == "_sum" || rest == "_count")
+}
+
+// sameLabels reports whether a and b hold the same labels in any order
+// (as multisets, so a repeated pair must repeat equally often in both).
+func sameLabels(a, b []Label) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	ls := append([]Label(nil), labels...)
-	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range ls {
-		b.WriteByte('|')
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+	for _, l := range a {
+		n := 0
+		for i := range a {
+			if a[i] == l {
+				n++
+			}
+			if b[i] == l {
+				n--
+			}
+		}
+		if n != 0 {
+			return false
+		}
 	}
-	return b.String()
+	return true
 }
 
 // Gather evaluates every registered metric and returns the samples in

@@ -87,3 +87,33 @@ func TestInprocShardFramesMatchClientRPCs(t *testing.T) {
 		t.Fatalf("shards served %d frames, the client sent %d rpcs", served, ctr.RPCs())
 	}
 }
+
+// TestColdStartAllocs pins what bench/'s inproc-k1 set-up cycle costs in
+// allocations: build C(8,24), start 3 shards, build a pool-1 client,
+// return one token, Close. It times nothing; the count is an integer
+// the host's noise cannot move. Registering a shard's or client's
+// metrics is an append (ctlplane.Registry), not three map inserts and a
+// key string per series (211 allocations a cycle; indexing took 444).
+func TestColdStartAllocs(t *testing.T) {
+	const max = 220
+	got := testing.AllocsPerRun(50, func() {
+		topo, err := core.New(8, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster, stop, err := StartCluster(topo, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctr := cluster.NewCounterPool(1)
+		if _, err := ctr.Inc(0); err != nil {
+			t.Error(err)
+		}
+		ctr.Close()
+		stop()
+	})
+	t.Logf("inproc-k1 set-up cycle: %.0f allocs", got)
+	if got > max {
+		t.Errorf("inproc-k1 set-up cycle took %.0f allocations, want <= %d", got, max)
+	}
+}

@@ -131,6 +131,15 @@ func (bp *bufPool) put(b *[shardBufSize]byte) {
 	bp.mu.Unlock()
 }
 
+// putAll returns a sent burst's buffers under one lock.
+func (bp *bufPool) putAll(burst []pkt) {
+	bp.mu.Lock()
+	for i := range burst {
+		bp.free = append(bp.free, burst[i].buf)
+	}
+	bp.mu.Unlock()
+}
+
 // pkt is one datagram moving through the shard pipeline: a pooled
 // buffer, the byte count (negative marks a truncated receive, dropped
 // by the dispatcher), and the peer address as an allocation-free
@@ -474,11 +483,9 @@ func (s *Shard) send() {
 		s.io.writeBatch(burst)
 		s.sendBatches.Add(1)
 		s.sendBatchPks.Add(int64(len(burst)))
-		for i := range burst {
-			s.pool.put(burst[i].buf)
-			s.inflight.Add(-1)
-			burst[i] = pkt{}
-		}
+		s.pool.putAll(burst)
+		s.inflight.Add(-int64(len(burst)))
+		clear(burst)
 	}
 }
 
